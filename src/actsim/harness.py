@@ -70,10 +70,6 @@ def converged(world):
     return len({r.convergence_digest() for r in world.replicas}) == 1
 
 
-def rvals(artifact, client):
-    return [e.rval for e in artifact.history if e.client == client]
-
-
 op = OperationLabel
 
 

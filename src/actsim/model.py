@@ -1,25 +1,25 @@
 """Event-graph primitives: events, relations, histories, abstract executions.
 
 Everything downstream (RDT evaluation, predicates, witness construction)
-consumes the types defined here.  Relations are materialized edge sets over
-event ids; histories at the scale we simulate are at most a few hundred
-events, so explicit sets keep brute-force checks simple.
+consumes the types defined here.  Relations over event ids are stored as
+per-id successor and predecessor bitmasks (Python ints); total orders are id
+sequences with a position lookup.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
+from operator import or_
 from typing import Callable, Iterable, Optional
 
 WEAK = "weak"
 STRONG = "strong"
 
 EventId = int
-
-
-class NotTotal(ValueError):
-    """Raised when a relation expected to be a total order leaves a pair unordered."""
 
 
 class MalformedHistory(ValueError):
@@ -86,70 +86,99 @@ def rv_set(values):
     return ReturnValue("set", frozenset(values))
 
 
+def _bits(mask):
+    """The positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _or(x, y):
+    out = dict(x)
+    for k, m in y.items():
+        out[k] = out.get(k, 0) | m
+    return out
+
+
+def _and(x, y):
+    return {k: m & y[k] for k, m in x.items() if k in y}
+
+
+def _warshall(rows):
+    """Transitive closure of adjacency bitmasks (Warshall's algorithm)."""
+    rows = dict(rows)
+    for k in list(rows):
+        through, bit = rows[k], 1 << k
+        for i, m in rows.items():
+            if m & bit:
+                rows[i] = m | through
+    return rows
+
+
 class Relation:
-    """A binary relation over event ids with cached forward/backward adjacency."""
+    """A binary relation over event ids (non-negative ints).
+
+    Each id maps to a successor and a predecessor bitmask: bit b of the
+    successor mask of a (and bit a of the predecessor mask of b) is set iff
+    a -> b.  Empty masks are not stored, so equal relations have equal maps.
+    Only this module reads the masks.
+    """
+
+    __slots__ = ("_succ", "_pred")
 
     def __init__(self, edges: Iterable[tuple] = ()):
-        self._edges = frozenset((a, b) for a, b in edges)
-        self._succ = {}
-        self._pred = {}
-        for a, b in self._edges:
-            self._succ.setdefault(a, set()).add(b)
-            self._pred.setdefault(b, set()).add(a)
+        succ, pred = {}, {}
+        for a, b in edges:
+            succ[a] = succ.get(a, 0) | 1 << b
+            pred[b] = pred.get(b, 0) | 1 << a
+        self._succ = succ
+        self._pred = pred
+
+    @classmethod
+    def _of(cls, succ, pred) -> "Relation":
+        rel = cls.__new__(cls)
+        rel._succ = {a: m for a, m in succ.items() if m}
+        rel._pred = {b: m for b, m in pred.items() if m}
+        return rel
 
     @property
     def edges(self):
-        return self._edges
+        return frozenset((a, b) for a, m in self._succ.items()
+                         for b in _bits(m))
 
     def has(self, a, b):
-        return (a, b) in self._edges
+        return bool(self._succ.get(a, 0) >> b & 1)
 
     def succ(self, a):
-        return frozenset(self._succ.get(a, ()))
+        return frozenset(_bits(self._succ.get(a, 0)))
 
     def pred(self, a):
-        return frozenset(self._pred.get(a, ()))
+        return frozenset(_bits(self._pred.get(a, 0)))
 
     def union(self, other: "Relation") -> "Relation":
-        return Relation(self._edges | other._edges)
-
-    def restrict(self, events) -> "Relation":
-        ev = set(events)
-        return Relation((a, b) for a, b in self._edges if a in ev and b in ev)
+        return Relation._of(_or(self._succ, other._succ),
+                            _or(self._pred, other._pred))
 
     def nodes(self):
-        out = set()
-        for a, b in self._edges:
-            out.add(a)
-            out.add(b)
-        return out
+        return set(self._succ) | set(self._pred)
 
     def transitive_closure(self) -> "Relation":
-        succ = {a: set(bs) for a, bs in self._succ.items()}
-        # plain worklist closure; fine at this scale
-        changed = True
-        while changed:
-            changed = False
-            for a in list(succ):
-                extra = set()
-                for b in succ[a]:
-                    extra |= succ.get(b, set())
-                if not extra <= succ[a]:
-                    succ[a] |= extra
-                    changed = True
-        return Relation((a, b) for a, bs in succ.items() for b in bs)
+        return Relation._of(_warshall(self._succ), _warshall(self._pred))
 
     def __len__(self):
-        return len(self._edges)
+        return sum(m.bit_count() for m in self._succ.values())
 
     def __eq__(self, other):
-        return isinstance(other, Relation) and self._edges == other._edges
+        return isinstance(other, Relation) and self._succ == other._succ
 
     def __hash__(self):
-        return hash(self._edges)
+        return hash(frozenset(self._succ.items()))
 
     def __repr__(self):
-        return "Relation(%r)" % sorted(self._edges)
+        return "Relation(%r)" % sorted(self.edges)
 
 
 def is_acyclic(rel: Relation) -> bool:
@@ -158,55 +187,32 @@ def is_acyclic(rel: Relation) -> bool:
 
 
 def find_cycle(rel: Relation):
-    """Return one cycle as a list of event ids, or None if the relation is acyclic."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {}
-    stack_path = []
-
-    def visit(n):
-        color[n] = GREY
-        stack_path.append(n)
-        for m in sorted(rel.succ(n)):
-            c = color.get(m, WHITE)
-            if c == GREY:
-                i = stack_path.index(m)
-                return stack_path[i:] + [m]
-            if c == WHITE:
-                got = visit(m)
-                if got:
-                    return got
-        stack_path.pop()
-        color[n] = BLACK
-        return None
-
-    for n in sorted(rel.nodes()):
-        if color.get(n, WHITE) == WHITE:
-            got = visit(n)
-            if got:
-                return got
+    """Return one cycle as a list of event ids, or None if the relation is
+    acyclic.  Depth-first search from each unvisited id in ascending order,
+    trying successors in ascending order, so the cycle found is fixed."""
+    done = 0  # ids whose search has finished
+    for root in sorted(rel.nodes()):
+        if done >> root & 1:
+            continue
+        path, on_path = [root], 1 << root
+        untried = [rel._succ.get(root, 0)]  # per path entry
+        while path:
+            rest = untried[-1] & ~done
+            if not rest:
+                bit = 1 << path.pop()
+                on_path ^= bit
+                done |= bit
+                untried.pop()
+                continue
+            low = rest & -rest
+            untried[-1] = rest ^ low
+            m = low.bit_length() - 1
+            if on_path & low:
+                return path[path.index(m):] + [m]
+            path.append(m)
+            on_path |= low
+            untried.append(rel._succ.get(m, 0))
     return None
-
-
-def rank(carrier, rel: Relation, e) -> int:
-    """Number of carrier elements related to e: |rel^-1(e) n carrier|."""
-    return len(rel.pred(e) & set(carrier))
-
-
-def sort_events(carrier, total: Relation):
-    """Arrange carrier in ascending order of a total order relation."""
-    items = sorted(carrier)
-    n = len(items)
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = items[i], items[j]
-            if not total.has(a, b) and not total.has(b, a):
-                raise NotTotal("unordered pair (%r, %r)" % (a, b))
-    out = sorted(items, key=lambda e: rank(carrier, total, e))
-    # sanity: adjacent elements must be ordered forward
-    for x, y in zip(out, out[1:]):
-        if not total.has(x, y):
-            raise NotTotal("relation is not a total order over the carrier")
-    return out
 
 
 def foldr(acc0, f: Callable, seq):
@@ -232,8 +238,8 @@ class History:
     """Client-observable history H = (E, op, rval, rb, ss, lvl).
 
     rb is derived from invoke/return timestamps (a ->rb b iff a returned
-    before b was invoked) and ss from client ids; neither is stored
-    redundantly.
+    before b was invoked) and ss from client ids (a ->ss b iff a != b share a
+    client); each is computed on first use and kept.
     """
 
     def __init__(self, events):
@@ -257,25 +263,31 @@ class History:
     def ids(self):
         return [e.id for e in self.events]
 
-    @property
+    @cached_property
     def rb(self) -> Relation:
-        edges = []
-        for a in self.events:
-            if a.return_ts is None:
-                continue
-            for b in self.events:
-                if a.id != b.id and a.return_ts < b.invoke_ts:
-                    edges.append((a.id, b.id))
-        return Relation(edges)
+        by_invoke = sorted(self.events, key=lambda e: e.invoke_ts)
+        by_return = sorted((e for e in self.events if e.return_ts is not None),
+                           key=lambda e: e.return_ts)
+        starts = [e.invoke_ts for e in by_invoke]
+        ends = [e.return_ts for e in by_return]
+        # invoked_from[i]: ids of by_invoke[i:]; returned[i]: of by_return[:i]
+        invoked_from = list(accumulate(
+            (1 << e.id for e in reversed(by_invoke)), or_, initial=0))[::-1]
+        returned = list(accumulate((1 << e.id for e in by_return), or_,
+                                   initial=0))
+        succ = {a.id: invoked_from[bisect_right(starts, a.return_ts)]
+                & ~(1 << a.id) for a in by_return}
+        pred = {b.id: returned[bisect_left(ends, b.invoke_ts)] & ~(1 << b.id)
+                for b in self.events}
+        return Relation._of(succ, pred)
 
-    @property
+    @cached_property
     def ss(self) -> Relation:
-        edges = []
-        for a in self.events:
-            for b in self.events:
-                if a.id != b.id and a.client == b.client:
-                    edges.append((a.id, b.id))
-        return Relation(edges)
+        sessions = {}
+        for e in self.events:
+            sessions[e.client] = sessions.get(e.client, 0) | 1 << e.id
+        masks = {e.id: sessions[e.client] & ~(1 << e.id) for e in self.events}
+        return Relation._of(masks, masks)
 
     def level_events(self, lvl):
         return [e.id for e in self.events if e.lvl == lvl]
@@ -359,19 +371,26 @@ class History:
 
 def session_order(h: History) -> Relation:
     """so = rb n ss."""
-    ss = h.ss
-    return Relation(e for e in h.rb.edges if ss.has(*e))
+    rb, ss = h.rb, h.ss
+    return Relation._of(_and(rb._succ, ss._succ), _and(rb._pred, ss._pred))
 
 
 class AbstractExecution:
     """A = (H, vis, ar, par).
 
     ar is kept as a sequence (the total order read off left to right); par
-    maps each event to its own total order sequence.
+    maps each event to its own total order sequence.  vis must relate events
+    of the history, none to itself.
     """
 
     def __init__(self, history: History, vis: Relation, ar, par=None):
         self.history = history
+        for x in vis.nodes():
+            if x not in history._by_id:
+                raise MalformedHistory("vis names %r, which is not an event"
+                                       % (x,))
+            if vis.has(x, x):
+                raise MalformedHistory("vis relates event %d to itself" % x)
         self.vis = vis
         self.ar = tuple(ar)
         if sorted(self.ar) != history.ids():
@@ -381,25 +400,13 @@ class AbstractExecution:
             par = {e.id: self.ar for e in history}
         self.par = {eid: tuple(seq) for eid, seq in par.items()}
         for eid, seq in self.par.items():
+            if eid not in history._by_id:
+                raise MalformedHistory("par key %r is not an event" % (eid,))
             if sorted(seq) != history.ids():
                 raise MalformedHistory("par(%d) must be a permutation" % eid)
 
     def ar_before(self, a, b):
         return self._ar_pos[a] < self._ar_pos[b]
-
-    def ar_relation(self) -> Relation:
-        n = len(self.ar)
-        return Relation((self.ar[i], self.ar[j])
-                        for i in range(n) for j in range(i + 1, n))
-
-    def par_relation(self, eid) -> Relation:
-        seq = self.par[eid]
-        n = len(seq)
-        return Relation((seq[i], seq[j])
-                        for i in range(n) for j in range(i + 1, n))
-
-    def par_equals_ar(self, eid):
-        return self.par[eid] == self.ar
 
     def restrict(self, ids):
         """Induced sub-execution over the given ids (re-identified densely)."""
@@ -428,8 +435,12 @@ class AbstractExecution:
         par = {}
         for k, v in d["par"].items():
             par[int(k)] = ar if v == "ar" else list(v)
-        return AbstractExecution(history, Relation(tuple(e) for e in d["vis"]),
-                                 ar, par)
+        try:
+            vis = Relation(tuple(e) for e in d["vis"])
+        except (TypeError, ValueError):
+            raise MalformedHistory(
+                "vis must be a list of [event id, event id] pairs") from None
+        return AbstractExecution(history, vis, ar, par)
 
 
 def happens_before(a: AbstractExecution) -> Relation:

@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .model import (AbstractExecution, Relation, find_cycle, rank,
-                    session_order)
+from .model import AbstractExecution, Relation, find_cycle, session_order
 from .rdt import RdtSpec, context_of, fcontext_of
 
 HOLDS = "holds"
@@ -74,11 +73,8 @@ def check_EV(a: AbstractExecution, l: str, hz: HorizonConfig) -> PredicateReport
     if not L:
         return PredicateReport("EV", l, VACUOUS)
     rb = a.history.rb
-    bad = []
-    for e in a.history.ids():
-        for e2 in _tail_events(a, l, hz):
-            if e != e2 and rb.has(e, e2) and not a.vis.has(e, e2):
-                bad.append((e, e2))
+    bad = [(e, e2) for e2 in _tail_events(a, l, hz)
+           for e in rb.pred(e2) - a.vis.pred(e2)]
     if bad:
         return PredicateReport("EV", l, VIOLATED, tuple(sorted(bad)))
     return PredicateReport("EV", l, HOLDS)
@@ -89,7 +85,7 @@ def check_NCC(a: AbstractExecution, l: str) -> PredicateReport:
     L = set(a.history.level_events(l))
     base = session_order(a.history).union(a.vis)
     hb = base.transitive_closure()
-    hb_L = Relation((x, y) for x, y in hb.edges if x in L and y in L)
+    hb_L = Relation((x, y) for x in L for y in hb.succ(x) & L)
     cycle = find_cycle(hb_L)
     if cycle is None:
         return PredicateReport("NCC", l, HOLDS)
@@ -158,13 +154,11 @@ def check_CPar(a: AbstractExecution, l: str, hz: HorizonConfig) -> PredicateRepo
     """Perceived arbitration converges: every level-l tail event ranks each
     event it observes exactly as the final arbitration does."""
     bad = []
-    ar_rel = a.ar_relation()
     for e2 in _tail_events(a, l, hz):
         carrier = a.vis.pred(e2)
-        par_rel = a.par_relation(e2)
-        for e in sorted(carrier):
-            if rank(carrier, par_rel, e) != rank(carrier, ar_rel, e):
-                bad.append((e, e2))
+        by_ar = [x for x in a.ar if x in carrier]
+        by_par = [x for x in a.par[e2] if x in carrier]
+        bad.extend((x, e2) for x, y in zip(by_ar, by_par) if x != y)
     if bad:
         return PredicateReport("CPar", l, VIOLATED, tuple(sorted(bad)))
     return PredicateReport("CPar", l, HOLDS)
@@ -175,26 +169,22 @@ def check_SinOrd(a: AbstractExecution, l: str) -> PredicateReport:
     events (resolved constructively: exactly the mismatching pending ones)."""
     L = set(a.history.level_events(l))
     pending = {e.id for e in a.history if e.rval.is_pending()}
-    vis_L = {(x, y) for x, y in a.vis.edges if y in L}
-    ar_L = set()
-    for i, x in enumerate(a.ar):
-        for y in a.ar[i + 1:]:
-            if y in L:
-                ar_L.add((x, y))
-    excluded = set()
-    bad = []
-    for x, y in sorted(ar_L - vis_L):
-        if x in pending:
-            excluded.add(x)
-        else:
-            bad.append((x, y, "completed event arbitrated before but invisible"))
+    invisible, unordered, overlap = [], [], []
+    for i, y in enumerate(a.ar):
+        if y in L:
+            ar_y, vis_y = set(a.ar[:i]), a.vis.pred(y)
+            invisible += [(x, y) for x in ar_y - vis_y]
+            unordered += [(x, y) for x in vis_y - ar_y]
+            overlap += [(x, y) for x in vis_y & ar_y & pending]
+    excluded = {x for x, _ in invisible if x in pending}
+    bad = [(x, y, "completed event arbitrated before but invisible")
+           for x, y in sorted(invisible) if x not in pending]
     # edges removed by E' x E must not survive in vis, and vis must not
     # order against ar
-    for x, y in sorted(vis_L - ar_L):
-        bad.append((x, y, "visible but arbitrated after"))
-    for x, y in sorted(vis_L & ar_L):
-        if x in excluded:
-            bad.append((x, y, "pending event both excluded and visible"))
+    bad += [(x, y, "visible but arbitrated after")
+            for x, y in sorted(unordered)]
+    bad += [(x, y, "pending event both excluded and visible")
+            for x, y in sorted(overlap) if x in excluded]
     if bad:
         return PredicateReport("SinOrd", l, VIOLATED, tuple(bad))
     return PredicateReport("SinOrd", l, HOLDS,
@@ -207,8 +197,8 @@ def check_SessArb(a: AbstractExecution, l: str) -> PredicateReport:
     if not L:
         return PredicateReport("SessArb", l, VACUOUS)
     so = session_order(a.history)
-    bad = [(x, y) for x, y in sorted(so.edges)
-           if y in L and not a.ar_before(x, y)]
+    bad = [(x, y) for x in a.history.ids() for y in sorted(so.succ(x) & L)
+           if not a.ar_before(x, y)]
     if bad:
         return PredicateReport("SessArb", l, VIOLATED, tuple(bad))
     return PredicateReport("SessArb", l, HOLDS)
@@ -220,8 +210,8 @@ def check_RT(a: AbstractExecution, l: str) -> PredicateReport:
     if not L:
         return PredicateReport("RT", l, VACUOUS)
     rb = a.history.rb
-    bad = [(x, y) for x, y in sorted(rb.edges)
-           if x in L and y in L and not a.ar_before(x, y)]
+    bad = [(x, y) for x in sorted(L) for y in sorted(rb.succ(x) & L)
+           if not a.ar_before(x, y)]
     if bad:
         return PredicateReport("RT", l, VIOLATED, tuple(bad))
     return PredicateReport("RT", l, HOLDS)

@@ -3,7 +3,8 @@
 Implements the sequence, multi-value register, and non-negative counter
 types plus context extraction from abstract executions.  Evaluation is pure
 and isomorphism-invariant: a context carries only event ids, labels, the
-visibility restricted to the carrier, and a total order over the carrier.
+visibility relation (read only between carrier events), and a total order
+over the carrier.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ class MissingPar(KeyError):
 
 @dataclass(frozen=True)
 class OperationContext:
-    """(carrier, op labels, vis restricted, total order over the carrier)."""
+    """(carrier, op labels, vis, total order over the carrier)."""
 
     carrier: frozenset
     ops: tuple  # tuple of (EventId, OperationLabel), sorted by id
-    vis: Relation
+    vis: Relation  # read only on pairs of carrier events
     order: tuple  # carrier arranged ascending by ar or par(e)
 
     def label(self, eid) -> OperationLabel:
@@ -39,7 +40,8 @@ class OperationContext:
         raise UnknownEvent(eid)
 
     def ordered_labels(self):
-        return [self.label(e) for e in self.order]
+        labels = dict(self.ops)
+        return [labels[e] for e in self.order]
 
 
 def _make_context(a: AbstractExecution, e: EventId, order_seq) -> OperationContext:
@@ -47,9 +49,8 @@ def _make_context(a: AbstractExecution, e: EventId, order_seq) -> OperationConte
         raise UnknownEvent(e)
     carrier = frozenset(a.vis.pred(e))
     ops = tuple(sorted((i, a.history.event(i).op) for i in carrier))
-    vis = a.vis.restrict(carrier)
     order = tuple(x for x in order_seq if x in carrier)
-    return OperationContext(carrier, ops, vis, order)
+    return OperationContext(carrier, ops, a.vis, order)
 
 
 def context_of(a: AbstractExecution, e: EventId) -> OperationContext:

@@ -20,17 +20,16 @@ from .rdt import RdtSpec
 from .simnet import ProtocolTrace
 
 
-def _insert_after_anchor(base, pending_ok, rb, locals_, anchor_pred):
+def _insert_after_anchor(base, rb, locals_, is_anchor):
     """Interleave locals into base: each local goes after the last base
-    element satisfying anchor_pred that it does not return-before."""
+    element satisfying is_anchor that it does not return-before."""
     anchored = {None: []}
     for b in base:
         anchored[b] = []
+    anchors = [b for b in base if is_anchor(b)]
     for g in sorted(locals_):
-        anchor = None
-        for b in base:
-            if anchor_pred(b) and not rb.has(g, b):
-                anchor = b
+        later = rb.succ(g)
+        anchor = next((b for b in reversed(anchors) if b not in later), None)
         anchored[anchor].append(g)
     out = list(anchored[None])
     for b in base:
@@ -59,7 +58,7 @@ def build_nnc_witness(history: History, trace: ProtocolTrace,
         return (history.event(e).op.name == "subtract"
                 and (mode != "async" or not rec.pending))
 
-    ar = _insert_after_anchor(base, mode != "async", rb, gets, is_anchor)
+    ar = _insert_after_anchor(base, rb, gets, is_anchor)
 
     tobno = {e: recs[e].tobno for e in updaters}
     pending_subs = {e for e in updaters
@@ -119,7 +118,7 @@ def build_log_witness(history: History, trace: ProtocolTrace,
     def is_anchor(e):
         return not recs[e].pending
 
-    ar = _insert_after_anchor(base, True, rb, locals_, is_anchor)
+    ar = _insert_after_anchor(base, rb, locals_, is_anchor)
 
     snapshot = {e: set(recs[e].trace_snapshot or ()) for e in history.ids()}
     edges = set()
@@ -143,17 +142,15 @@ def build_log_witness(history: History, trace: ProtocolTrace,
     # of the shared events in final order, with locals slotted in by the
     # same overlap rule
     par = {}
-    shared_in_ar = [e for e in ar if e in set(shared)]
+    shared_set = set(shared)
+    shared_in_ar = [e for e in ar if e in shared_set]
     for e in history.ids():
         if e in strong:
             par[e] = tuple(ar)
             continue
-        seen = []
-        for x in recs[e].trace_snapshot or ():
-            if x not in seen:
-                seen.append(x)
+        seen = dict.fromkeys(recs[e].trace_snapshot or ())
         rest = [x for x in shared_in_ar if x not in seen]
-        par[e] = tuple(_insert_after_anchor(seen + rest, True, rb, locals_,
+        par[e] = tuple(_insert_after_anchor(list(seen) + rest, rb, locals_,
                                             is_anchor))
     return AbstractExecution(history, Relation(edges), ar, par)
 

@@ -137,3 +137,27 @@ def test_cli_reports_input_errors(tmp_path, capsys):
     bad.write_text("not json\n")
     assert main(["brute", str(bad), "--target", "BEC"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("vis_edge, par_key", [
+    ([0, 99], None),    # endpoint past the last event
+    ([-1, 0], None),    # negative id
+    ([3, 3], None),     # self-loop
+    (None, "77"),       # perceived order of an event that does not exist
+], ids=["vis-unknown-event", "vis-negative-id", "vis-self-loop",
+        "par-unknown-event"])
+def test_cli_check_rejects_malformed_witnesses(tmp_path, capsys, vis_edge,
+                                               par_key):
+    out = tmp_path / "art"
+    main(["run", "annc-stable", "--out", str(out)])
+    witness = json.loads((out / "witness-counter.json").read_text())
+    if vis_edge is not None:
+        witness["vis"].append(vis_edge)
+    if par_key is not None:
+        witness["par"][par_key] = "ar"
+    bad = tmp_path / "bad-witness.json"
+    bad.write_text(json.dumps(witness))
+    code = main(["check", str(out / "history.jsonl"), str(bad),
+                 "--predicate", "BEC", "--level", "weak", "--rdt", "f_nnc"])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
