@@ -380,7 +380,8 @@ class AbstractExecution:
 
     ar is kept as a sequence (the total order read off left to right); par
     maps each event to its own total order sequence.  vis must relate events
-    of the history, none to itself.
+    of the history, none to itself; it is not reassigned after construction,
+    because happens_before keeps the closure it derives from it.
     """
 
     def __init__(self, history: History, vis: Relation, ar, par=None):
@@ -392,6 +393,7 @@ class AbstractExecution:
             if vis.has(x, x):
                 raise MalformedHistory("vis relates event %d to itself" % x)
         self.vis = vis
+        self._hb = None                # happens_before(self), once computed
         self.ar = tuple(ar)
         if sorted(self.ar) != history.ids():
             raise MalformedHistory("ar must be a permutation of the event ids")
@@ -444,6 +446,7 @@ class AbstractExecution:
 
 
 def happens_before(a: AbstractExecution) -> Relation:
-    """hb = (so u vis)+."""
-    so = session_order(a.history)
-    return so.union(a.vis).transitive_closure()
+    """hb = (so u vis)+, computed on first use and kept on the execution."""
+    if a._hb is None:
+        a._hb = session_order(a.history).union(a.vis).transitive_closure()
+    return a._hb

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .model import AbstractExecution, Relation, find_cycle, session_order
+from .model import (AbstractExecution, Relation, find_cycle, happens_before,
+                    session_order)
 from .rdt import RdtSpec, context_of, fcontext_of
 
 HOLDS = "holds"
@@ -83,14 +84,14 @@ def check_EV(a: AbstractExecution, l: str, hz: HorizonConfig) -> PredicateReport
 def check_NCC(a: AbstractExecution, l: str) -> PredicateReport:
     """acyclic(hb n (L x L)): no causal cycle among level-l events."""
     L = set(a.history.level_events(l))
-    base = session_order(a.history).union(a.vis)
-    hb = base.transitive_closure()
+    hb = happens_before(a)
     hb_L = Relation((x, y) for x in L for y in hb.succ(x) & L)
     cycle = find_cycle(hb_L)
     if cycle is None:
         return PredicateReport("NCC", l, HOLDS)
     # expand to a path through the underlying so u vis edges so the
     # counterexample can be replayed on the induced sub-execution
+    base = session_order(a.history).union(a.vis)
     support = set(cycle)
     for x, y in zip(cycle, cycle[1:]):
         support |= _path_nodes(base, x, y)

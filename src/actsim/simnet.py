@@ -5,6 +5,12 @@ Runs are reproducible: the same Schedule yields byte-identical event logs.
 Stable runs deliver every TOB message; asynchronous runs withhold the suffix
 of TOB messages cast after a cutoff step.  Partitions defer RB deliveries
 across blocks and stall TOB outside the majority block.
+
+Every step records the acting replica's state digest before and after it,
+and `check_act_restrictions` lints the recorded trace.  The world hashes a
+replica's state once per step: the digest before a step is the one recorded
+after that replica's previous step.  Delivery sets, dot lookups and TOB
+positions are kept as the run goes, so no step rescans the run so far.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import hashlib
 import heapq
 import json
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -232,6 +239,17 @@ CLASS_INVOKE = 2
 
 
 class SimWorld:
+    """Runs replicas against a schedule and a scripted workload, recording
+    a ProtocolTrace.
+
+    A replica's state changes only inside its on_invoke, on_deliver and
+    on_internal handlers, and only the world calls them.  So the digest
+    recorded after a replica's step is still its digest when its next step
+    begins, and the world reuses it as that step's hash_before; it hashes
+    the state afresh only before a replica's first step.  Code that changes
+    a replica's state outside those handlers breaks the recorded hashes.
+    """
+
     def __init__(self, replicas, schedule: Schedule, workload,
                  mode="stable", protocol="unknown"):
         self.replicas = list(replicas)
@@ -243,11 +261,14 @@ class SimWorld:
         self._heap = []
         self._seq = 0
         self.messages = {}
-        self.tob_log = []              # TOB msg ids in cast order
+        self._tob_pos = {}             # TOB msg id -> position in the total order
         self.tob_pointer = [0] * len(self.replicas)
         self.tob_no = {}               # msg id -> dense delivery number
-        self.rb_delivered = [set() for _ in self.replicas]
-        self.tob_delivered = [set() for _ in self.replicas]
+        # per replica: events whose RB / TOB message it has delivered
+        self._rbdel = [set() for _ in self.replicas]
+        self._tobdel = [set() for _ in self.replicas]
+        self._event_of_dot = {}        # req dot -> event id
+        self._digest = [None] * len(self.replicas)  # last hash_after
         self.withheld = set()          # msg ids never delivered anywhere
         self._fifo_last_ready = {}
         self._pending_local = []
@@ -336,7 +357,7 @@ class SimWorld:
                 return
             self._push(change, CLASS_DELIVER, msg.origin, ("tobcast", mid))
             return
-        self.tob_log.append(mid)
+        self._tob_pos[mid] = len(self._tob_pos)
         for dest in range(len(self.replicas)):
             ready = self.now + self.schedule.tob_delay + self._jitter()
             self._push(ready, CLASS_DELIVER, dest, ("tob", mid, dest))
@@ -349,10 +370,9 @@ class SimWorld:
 
     def _deliver_local(self, msg, dest):
         """A replica's own RB message reaches it in the same step it casts."""
-        rep = self.replicas[dest]
-        before = rep.state_digest()
-        effects = rep.on_deliver(msg.kind, msg)
-        self.rb_delivered[dest].add(msg.id)
+        before = self._digest_before(dest)
+        effects = self.replicas[dest].on_deliver(msg.kind, msg)
+        self._note_delivered(dest, msg)
         casts, resps = self._apply_effects(dest, effects)
         self._record(dest, "deliver",
                      {"msg": msg.id, "kind": msg.kind, "local": True},
@@ -365,24 +385,18 @@ class SimWorld:
 
     # -- effects and trace ---------------------------------------------
 
-    def _delivered_event_sets(self, rid):
-        """Events whose RB / TOB messages this replica has delivered."""
-        rbdel, tobdel = set(), set()
-        for mid in self.rb_delivered[rid]:
-            ev = self.messages[mid].cast_event
-            if ev is not None and self.messages[mid].kind == RB:
-                rbdel.add(ev)
-        for mid in self.tob_delivered[rid]:
-            ev = self.messages[mid].cast_event
-            if ev is not None:
-                tobdel.add(ev)
-        return frozenset(rbdel), frozenset(tobdel)
+    def _note_delivered(self, dest, msg):
+        ev = msg.cast_event
+        if ev is None:
+            return
+        if msg.kind == RB:
+            self._rbdel[dest].add(ev)
+        elif msg.kind == TOB:
+            self._tobdel[dest].add(ev)
 
-    def _dot_to_event(self, dot):
-        for rec in self.trace.events.values():
-            if rec.req_dot == dot:
-                return rec.event_id
-        return None
+    def _digest_before(self, rid):
+        digest = self._digest[rid]
+        return self.replicas[rid].state_digest() if digest is None else digest
 
     def _apply_effects(self, rid, effects: Effects):
         cast_ids = []
@@ -398,18 +412,17 @@ class SimWorld:
                 continue
             rec.return_step = self.now
             rec.rval = resp.value
-            rec.rbdel, rec.tobdel = self._delivered_event_sets(rid)
+            rec.rbdel = frozenset(self._rbdel[rid])
+            rec.tobdel = frozenset(self._tobdel[rid])
+            event_of = self._event_of_dot
             if resp.trace_snapshot is not None:
-                snap = []
-                for dot in resp.trace_snapshot:
-                    ev = self._dot_to_event(dot)
-                    if ev is not None:
-                        snap.append(ev)
-                rec.trace_snapshot = tuple(snap)
+                rec.trace_snapshot = tuple(
+                    event_of[dot] for dot in resp.trace_snapshot
+                    if dot in event_of)
             edges = []
             for dep_dot, this_dot in resp.essential_edges:
-                dep = self._dot_to_event(dep_dot) if dep_dot else None
-                cur = self._dot_to_event(this_dot) if this_dot else None
+                dep = event_of.get(dep_dot) if dep_dot else None
+                cur = event_of.get(this_dot) if this_dot else None
                 if dep is not None and cur is not None and dep != cur:
                     edges.append((dep, cur))
             rec.essential_edges = tuple(edges)
@@ -428,13 +441,12 @@ class SimWorld:
                        nxt.replica, ("invoke", client))
 
     def _record(self, rid, kind, detail, before, casts, responses):
-        rep = self.replicas[rid] if rid is not None else None
-        after = rep.state_digest() if rep else before
-        passive = not rep.has_internal() if rep else True
+        rep = self.replicas[rid]
+        after = self._digest[rid] = rep.state_digest()
         self.trace.steps.append(StepRecord(
             step=self.now, replica=rid, kind=kind, detail=detail,
             hash_before=before, hash_after=after, casts=casts,
-            responses=responses, passive_after=passive))
+            responses=responses, passive_after=not rep.has_internal()))
 
     # -- the step loop -------------------------------------------------
 
@@ -477,15 +489,17 @@ class SimWorld:
                           client=client, invoke_step=self.now)
         self.trace.events[eid] = rec
         self._current_event = eid
-        before = rep.state_digest()
+        before = self._digest_before(rid)
         effects = rep.on_invoke(eid, inv.op, inv.level, self.clock(rid))
         rec.req_dot = getattr(effects, "req_dot", None)
+        if rec.req_dot is not None:
+            self._event_of_dot.setdefault(rec.req_dot, eid)
         casts, resps = self._apply_effects(rid, effects)
         self._current_event = None
         self._record(rid, "invoke", {"event": eid, "op": str(inv.op),
                                      "level": inv.level, "ro": rec.local_ro},
                      before, casts, resps)
-        if eid not in [r for r in resps] and rec.return_step is None:
+        if eid not in resps and rec.return_step is None:
             self._client_waiting[client] = True
         else:
             self._schedule_next_invoke(client)
@@ -501,10 +515,9 @@ class SimWorld:
                 return False
             self._push(change, CLASS_DELIVER, dest, ("deliver", mid, dest))
             return False
-        rep = self.replicas[dest]
-        before = rep.state_digest()
-        effects = rep.on_deliver(msg.kind, msg)
-        self.rb_delivered[dest].add(mid)
+        before = self._digest_before(dest)
+        effects = self.replicas[dest].on_deliver(msg.kind, msg)
+        self._note_delivered(dest, msg)
         casts, resps = self._apply_effects(dest, effects)
         self._record(dest, "deliver", {"msg": mid, "kind": msg.kind},
                      before, casts, resps)
@@ -513,7 +526,7 @@ class SimWorld:
 
     def _do_tob(self, mid, dest):
         msg = self.messages[mid]
-        idx = self.tob_log.index(mid)
+        idx = self._tob_pos[mid]
         if idx != self.tob_pointer[dest]:
             # out of order: retry after the earlier deliveries land
             self._push(self.now + 1, CLASS_DELIVER, dest, ("tob", mid, dest))
@@ -532,10 +545,9 @@ class SimWorld:
             if ev is not None:
                 self.trace.events[ev].tobno = self.tob_no[mid]
         self.tob_pointer[dest] = idx + 1
-        rep = self.replicas[dest]
-        before = rep.state_digest()
-        effects = rep.on_deliver(TOB, msg)
-        self.tob_delivered[dest].add(mid)
+        before = self._digest_before(dest)
+        effects = self.replicas[dest].on_deliver(TOB, msg)
+        self._note_delivered(dest, msg)
         casts, resps = self._apply_effects(dest, effects)
         self._record(dest, "deliver", {"msg": mid, "kind": TOB,
                                        "tobno": self.tob_no[mid]},
@@ -548,7 +560,7 @@ class SimWorld:
         rep = self.replicas[rid]
         if not rep.has_internal():
             return False
-        before = rep.state_digest()
+        before = self._digest_before(rid)
         effects = rep.on_internal()
         casts, resps = self._apply_effects(rid, effects)
         self._record(rid, "internal", {}, before, casts, resps)
@@ -655,17 +667,22 @@ def check_act_restrictions(trace: ProtocolTrace,
 
     # rule 4: weak operations return without awaiting deliveries
     bad = []
+    deliver_steps = {}  # replica -> sorted steps of its deliveries
+    for rec in trace.steps:
+        if rec.kind == "deliver":
+            deliver_steps.setdefault(rec.replica, []).append(rec.step)
+    for steps in deliver_steps.values():
+        steps.sort()
     for eid, ev in sorted(trace.events.items()):
         if ev.level != "weak":
             continue
         if ev.return_step is None:
             bad.append((eid, "weak operation never returned"))
             continue
-        for rec in trace.steps:
-            if (rec.kind == "deliver" and rec.replica == ev.replica
-                    and ev.invoke_step < rec.step <= ev.return_step):
-                bad.append((eid, "awaited a delivery at step %d" % rec.step))
-                break
+        steps = deliver_steps.get(ev.replica, ())
+        i = bisect_right(steps, ev.invoke_step)
+        if i < len(steps) and steps[i] <= ev.return_step:
+            bad.append((eid, "awaited a delivery at step %d" % steps[i]))
     subs.append(PredicateReport("highly_available_weak", None,
                                 VIOLATED if bad else HOLDS, tuple(bad)))
 

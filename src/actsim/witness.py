@@ -28,8 +28,7 @@ def _insert_after_anchor(base, rb, locals_, is_anchor):
         anchored[b] = []
     anchors = [b for b in base if is_anchor(b)]
     for g in sorted(locals_):
-        later = rb.succ(g)
-        anchor = next((b for b in reversed(anchors) if b not in later), None)
+        anchor = next((b for b in reversed(anchors) if not rb.has(g, b)), None)
         anchored[anchor].append(g)
     out = list(anchored[None])
     for b in base:
@@ -44,9 +43,9 @@ def build_nnc_witness(history: History, trace: ProtocolTrace,
     reads slot in after the last subtraction that overlapped or preceded them."""
     rb = history.rb
     recs = trace.events
-    updaters = [e for e in history.ids()
-                if history.event(e).op.name in ("add", "subtract")]
-    gets = [e for e in history.ids() if history.event(e).op.name == "get"]
+    names = {e.id: e.op.name for e in history}
+    updaters = [e for e, name in names.items() if name in ("add", "subtract")]
+    gets = [e for e, name in names.items() if name == "get"]
     delivered = sorted((recs[e].tobno, e) for e in updaters
                        if recs[e].tobno is not None)
     undelivered = sorted((recs[e].req_dot, e) for e in updaters
@@ -55,41 +54,38 @@ def build_nnc_witness(history: History, trace: ProtocolTrace,
 
     def is_anchor(e):
         rec = recs[e]
-        return (history.event(e).op.name == "subtract"
+        return (names[e] == "subtract"
                 and (mode != "async" or not rec.pending))
 
     ar = _insert_after_anchor(base, rb, gets, is_anchor)
 
-    tobno = {e: recs[e].tobno for e in updaters}
     pending_subs = {e for e in updaters
-                    if history.event(e).op.name == "subtract"
-                    and recs[e].pending}
-    ar_pos = {e: i for i, e in enumerate(ar)}
+                    if names[e] == "subtract" and recs[e].pending}
     edges = set()
-    for e in history.ids():
-        op_e = history.event(e).op.name
-        for e2 in history.ids():
-            if e == e2:
-                continue
-            op_e2 = history.event(e2).op.name
-            if op_e2 == "subtract":
-                if (op_e in ("add", "subtract") and tobno.get(e) is not None
-                        and tobno.get(e2) is not None
-                        and tobno[e] < tobno[e2]):
-                    edges.add((e, e2))
-                if op_e == "get" and ar_pos[e] < ar_pos[e2]:
-                    edges.add((e, e2))
-            elif op_e2 == "get":
-                if op_e == "subtract" and e in recs[e2].tobdel:
-                    edges.add((e, e2))
-                if op_e == "add" and (e in recs[e2].tobdel
-                                      or e in recs[e2].rbdel):
-                    edges.add((e, e2))
-                if op_e == "get" and rb.has(e, e2):
-                    edges.add((e, e2))
-            elif op_e2 == "add":
-                if rb.has(e, e2):
-                    edges.add((e, e2))
+    # a subtract sees every update delivered before it in the total order,
+    # and every get arbitrated before it
+    earlier = []
+    for _, e2 in delivered:
+        if names[e2] == "subtract":
+            edges.update((e, e2) for e in earlier)
+        earlier.append(e2)
+    earlier = []
+    for e2 in ar:
+        if names[e2] == "get":
+            earlier.append(e2)
+        elif names[e2] == "subtract":
+            edges.update((e, e2) for e in earlier)
+    # a get sees the updates its replica delivered and the gets that
+    # returned before it; an add sees everything that returned before it
+    for e2, name in names.items():
+        if name == "get":
+            rec = recs[e2]
+            edges.update((e, e2) for e in rec.tobdel
+                         if names[e] in ("add", "subtract"))
+            edges.update((e, e2) for e in rec.rbdel if names[e] == "add")
+            edges.update((e, e2) for e in rb.pred(e2) if names[e] == "get")
+        elif name == "add":
+            edges.update((e, e2) for e in rb.pred(e2))
     if mode == "async":
         edges = {(x, y) for x, y in edges
                  if x not in pending_subs and y not in pending_subs}

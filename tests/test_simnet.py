@@ -2,11 +2,12 @@
 
 import pytest
 
+from actsim import harness
 from actsim.harness import random_counter_run, run_scenario
-from actsim.model import OperationLabel, WEAK
-from actsim.protocols import NncReplica
+from actsim.model import OperationLabel, STRONG, WEAK
+from actsim.protocols import NncReplica, Replica
 from actsim.simnet import (Invoke, Schedule, SimWorld, StepBudgetExceeded,
-                           TOB, UnknownReplica)
+                           TOB, UnknownReplica, check_act_restrictions)
 
 
 def lab(name, *args):
@@ -120,6 +121,7 @@ def test_trace_json_round_trip():
 
 # -- the implementation-rule lints -----------------------------------------
 
+import mutants
 from mutants import RULES, mutant_runs, verdicts
 
 
@@ -140,3 +142,98 @@ def test_each_mutant_breaks_exactly_its_rule():
                 assert got[other] == "holds", (rule, other, got)
         seen.append(rule)
     assert seen == list(RULES)
+
+
+# -- the per-step state digest ---------------------------------------------
+
+def recording(cls):
+    """A subclass of `cls` that hashes its state afresh on entering each
+    handler, so the digests can be compared with the trace's hash_before."""
+
+    class Recording(cls):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.entry_digests = []
+
+        def on_invoke(self, *args):
+            self.entry_digests.append(self.state_digest())
+            return super().on_invoke(*args)
+
+        def on_deliver(self, *args):
+            self.entry_digests.append(self.state_digest())
+            return super().on_deliver(*args)
+
+        def on_internal(self):
+            self.entry_digests.append(self.state_digest())
+            return super().on_internal()
+
+    Recording.__name__ = cls.__name__
+    return Recording
+
+
+def _record_replicas(monkeypatch, module):
+    for name, obj in list(vars(module).items()):
+        if isinstance(obj, type) and issubclass(obj, Replica):
+            monkeypatch.setattr(module, name, recording(obj))
+
+
+def _assert_hash_before_is_fresh(world, label):
+    for rid, rep in enumerate(world.replicas):
+        recorded = [s.hash_before for s in world.trace.steps
+                    if s.replica == rid]
+        assert rep.entry_digests == recorded, (label, rid)
+        assert recorded, (label, rid)
+
+
+def test_hash_before_equals_a_fresh_digest_at_handler_entry(monkeypatch):
+    _record_replicas(monkeypatch, harness)
+    _record_replicas(monkeypatch, mutants)
+    checked = 0
+    for name in harness.SCENARIOS:
+        for mode in ("stable", "async"):
+            art = harness.run_scenario(name, mode=mode)
+            if art.world is None:
+                continue
+            _assert_hash_before_is_fresh(art.world, (name, mode))
+            checked += 1
+    for rule, world in mutants.mutant_runs():
+        _assert_hash_before_is_fresh(world, rule)
+        checked += 1
+    assert checked == 2 * (len(harness.SCENARIOS) - 1) + len(RULES)
+
+
+class DigestCountingReplica(NncReplica):
+    calls = 0
+
+    def state_digest(self):
+        DigestCountingReplica.calls += 1
+        return super().state_digest()
+
+
+def test_state_digests_grow_linearly_with_the_steps(monkeypatch):
+    monkeypatch.setattr(DigestCountingReplica, "calls", 0)
+    workload = []
+    for i in range(150):
+        kind = ("add", "get", "add", "get", "subtract")[i % 5]
+        op = lab(kind) if kind == "get" else lab(kind, 1 + i % 4)
+        level = STRONG if kind == "subtract" else WEAK
+        workload.append(Invoke(1 + 2 * i, "c%d" % (i % 8), i % 3, op, level))
+    schedule = Schedule(seed=7, rb_delay=2, tob_delay=4, jitter=3,
+                        partitions=((100, ((0, 1), (2,))),
+                                    (200, ((0, 1, 2),))))
+    world = SimWorld([DigestCountingReplica(i) for i in range(3)], schedule,
+                     workload, protocol="nnc")
+    world.run_to_quiescence()
+    harness.inject_probes(world, lab("get"), WEAK)
+    assert len(world.trace.steps) > 500
+    assert DigestCountingReplica.calls <= len(world.trace.steps) + 3
+
+
+def test_slow_add_reports_the_first_delivery_it_awaited():
+    rule, world = next((r, w) for r, w in mutant_runs()
+                       if r == "highly_available_weak")
+    report = check_act_restrictions(world.trace)
+    sub = next(s for s in report.sub_reports if s.predicate == rule)
+    # the add's own RB message, delivered locally in the invoke step
+    # itself, does not count; its TOB delivery at step 4 does
+    assert sub.counterexample == ((0, "awaited a delivery at step 4"),)
