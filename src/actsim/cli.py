@@ -20,25 +20,10 @@ import sys
 
 from .harness import SCENARIOS, run_scenario
 from .model import AbstractExecution, History, MalformedHistory
-from .predicates import (HorizonConfig, VIOLATED, check_CPar, check_EV,
-                         check_FRVal, check_NCC, check_RT, check_RVal,
-                         check_SessArb, check_SinOrd, check_composite,
-                         COMPOSITES)
+from .predicates import COMPOSITES, PREDICATES, HorizonConfig, VIOLATED, check
 from .rdt import RDTS
 from .simnet import ProtocolTrace, check_act_restrictions
 from .witness import brute_force_witness
-
-SCENARIO_NOTES = {
-    "annc-stable": "counter, every broadcast delivered",
-    "annc-async": "counter, a subtract's total-order message is withheld",
-    "annc-partition-convergence": "counter, network splits then heals",
-    "bayou-classic-tor": "primary-commit log, tentative reads disagree",
-    "bayou-classic-circular": "primary-commit log, causality cycle check",
-    "acutebayou-stable": "tentative log, every broadcast delivered",
-    "acutebayou-async": "tentative log, a strong commit is withheld",
-    "redblue-anomaly": "shadow operations, stale read then convergence",
-    "impossibility": "fixture history with no valid witness",
-}
 
 
 def _load_history(path):
@@ -46,11 +31,6 @@ def _load_history(path):
         h = History.from_jsonl(f.read())
     h.validate()
     return h
-
-
-def _load_witness(path, history):
-    with open(path) as f:
-        return AbstractExecution.from_json(history, json.load(f))
 
 
 def _horizon(args, history):
@@ -65,8 +45,8 @@ def cmd_run(args):
         print("unknown scenario: %s" % args.scenario, file=sys.stderr)
         return 2
     art = run_scenario(args.scenario, seed=args.seed, mode=args.mode)
-    for line in art.report_lines():
-        print(line)
+    for r in art.reports:
+        print(r.line())
     for key, value in sorted(art.extras.items()):
         print("%s: %s" % (key, value))
     if args.out:
@@ -87,26 +67,14 @@ def cmd_run(args):
 
 def cmd_check(args):
     history = _load_history(args.history)
-    a = _load_witness(args.witness, history)
+    with open(args.witness) as f:
+        a = AbstractExecution.from_json(history, json.load(f))
     spec = RDTS[args.rdt]
     hz = _horizon(args, history)
-    single = {
-        "EV": lambda: check_EV(a, args.level, hz),
-        "NCC": lambda: check_NCC(a, args.level),
-        "RVal": lambda: check_RVal(a, args.level, spec),
-        "FRVal": lambda: check_FRVal(a, args.level, spec),
-        "CPar": lambda: check_CPar(a, args.level, hz),
-        "SinOrd": lambda: check_SinOrd(a, args.level),
-        "SessArb": lambda: check_SessArb(a, args.level),
-        "RT": lambda: check_RT(a, args.level),
-    }
-    if args.predicate in single:
-        report = single[args.predicate]()
-    elif args.predicate in COMPOSITES:
-        report = check_composite(a, args.predicate, args.level, spec, hz)
-    else:
+    if args.predicate not in PREDICATES and args.predicate not in COMPOSITES:
         print("unknown predicate: %s" % args.predicate, file=sys.stderr)
         return 2
+    report = check(a, args.predicate, args.level, spec, hz)
     print(report.line())
     if report.verdict == VIOLATED and report.counterexample:
         print("counterexample: %s" % (report.counterexample,))
@@ -141,8 +109,8 @@ def cmd_lint(args):
 
 
 def cmd_list(args):
-    for name in SCENARIOS:
-        print("%-28s %s" % (name, SCENARIO_NOTES.get(name, "")))
+    for name, sc in SCENARIOS.items():
+        print("%-28s %s" % (name, sc.note))
     return 0
 
 

@@ -1,24 +1,30 @@
-"""Scenario registry and run orchestration.
+"""Scenario registry and the one runner that executes it.
 
-Each scenario wires replicas, a schedule, and a scripted workload into the
-simulator, injects tail probes once the run quiesces, builds the protocol's
-witness, and checks the relevant predicates.  Scenarios are deterministic
-for a fixed seed.
+A scenario is a frozen `Scenario` record.  A simulated one names its
+replicas, schedule and scripted workload, and the probe each replica answers
+once the run quiesces; the fixture scenario names a history instead.  Both
+also name the operation levels their data type allows (`ActSpec`), a
+witness builder, the predicates to check and the facts to report.
+`run_scenario` runs any record the same way: simulate (through an optional
+split step) to quiescence, inject the tail probes, extract the history,
+enforce the `ActSpec`, build the witness, check, and collect the extras.  A
+scenario without a witness builder is checked by exhaustive search.
+Scenarios are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional
 
-from .model import (Event, History, OperationLabel, PENDING, STRONG, WEAK)
-from .predicates import (HOLDS, HorizonConfig, PredicateReport, VIOLATED,
-                         check_NCC, check_composite)
+from .model import (Event, History, OK, OperationLabel, PENDING, STRONG, WEAK,
+                    rv_str)
+from .predicates import HOLDS, HorizonConfig, PredicateReport, VIOLATED, check
 from .protocols import (ClassicLogReplica, MixedLogReplica, NncReplica,
                         RedBlueReplica)
-from .rdt import F_NNC, F_SEQ
+from .rdt import ACT_NNC, ACT_SEQ_MIXED, ACT_SEQ_REDBLUE, ActSpec, F_SEQ
 from .simnet import Invoke, Schedule, SimWorld
-from .witness import (BruteResult, brute_force_witness, build_causal_witness,
+from .witness import (brute_force_witness, build_causal_witness,
                       build_log_witness, build_nnc_witness)
 
 
@@ -33,13 +39,12 @@ class RunArtifact:
     extras: dict = field(default_factory=dict)
     world: object = None
     horizon: HorizonConfig = None
+    # (predicate, level) -> BruteResult, for checks made by exhaustive search
+    searches: dict = field(default_factory=dict)
 
     @property
     def ok(self):
         return all(r.ok for r in self.reports)
-
-    def report_lines(self):
-        return [r.line() for r in self.reports]
 
 
 def history_of(trace) -> History:
@@ -73,136 +78,79 @@ def converged(world):
 op = OperationLabel
 
 
-# -- counter scenarios ----------------------------------------------------
-
-def _counter_world(schedule, workload, mode):
-    replicas = [NncReplica(i) for i in range(3)]
-    return SimWorld(replicas, schedule, workload, mode=mode, protocol="nnc")
-
-
-def scenario_annc_stable(seed=0, mode="stable"):
-    schedule = Schedule(seed=seed, rb_delay=2, tob_delay=4)
-    workload = [
-        Invoke(1, "c0", 0, op("add", (5,)), WEAK),
-        Invoke(2, "c1", 1, op("add", (3,)), WEAK),
-        Invoke(4, "c2", 2, op("get"), WEAK),
-        Invoke(6, "c3", 0, op("subtract", (4,)), STRONG),
-        Invoke(8, "c4", 1, op("get"), WEAK),
-        Invoke(20, "c5", 2, op("subtract", (10,)), STRONG),
-        Invoke(40, "c6", 0, op("get"), WEAK),
-    ]
-    world = _counter_world(schedule, workload, mode)
-    world.run_to_quiescence()
-    stab = inject_probes(world, op("get"), WEAK)
-    history = history_of(world.trace)
-    hz = HorizonConfig(stab)
-    a = build_nnc_witness(history, world.trace, mode)
-    reports = [check_composite(a, "BEC", WEAK, F_NNC, hz),
-               check_composite(a, "Lin", STRONG, F_NNC, hz)]
-    return RunArtifact("annc-stable", mode, history, world.trace,
-                       {"counter": a}, reports,
-                       {"converged": converged(world)}, world, hz)
+@dataclass(frozen=True)
+class Scenario:
+    name: str
+    note: str                                # `actsim list-scenarios` line
+    mode: str = "stable"                     # when a run names no mode
+    replicas: Optional[Callable] = None      # () -> replicas; None: fixture
+    protocol: str = "unknown"
+    schedule: Optional[Schedule] = None      # its seed is set per run
+    invokes: tuple = ()
+    probe: Optional[OperationLabel] = None   # a weak probe per replica ...
+    probe_count: int = 3                     # ... this many times each
+    fixture: Optional[Callable] = None       # () -> History, with no replicas
+    act: Optional[ActSpec] = None            # operation levels the run obeys
+    witness: Optional[Callable] = None       # (history, world) -> (label, A)
+    checks: tuple = ()                       # (predicate, level) pairs
+    split_step: Optional[int] = None         # run to here, note divergence
+    extras: Optional[Callable] = None        # RunArtifact -> dict of facts
 
 
-def scenario_annc_async(seed=0, mode="async"):
-    schedule = Schedule(seed=seed, rb_delay=2, tob_delay=4, tob_cutoff=15)
-    workload = [
-        Invoke(1, "c0", 0, op("add", (5,)), WEAK),
-        Invoke(2, "c1", 1, op("add", (3,)), WEAK),
-        Invoke(6, "c2", 0, op("subtract", (4,)), STRONG),
-        Invoke(8, "c3", 1, op("get"), WEAK),
-        Invoke(20, "c4", 2, op("subtract", (2,)), STRONG),
-        Invoke(40, "c5", 0, op("get"), WEAK),
-    ]
-    world = _counter_world(schedule, workload, mode)
-    world.run_to_quiescence()
-    stab = inject_probes(world, op("get"), WEAK)
-    history = history_of(world.trace)
-    hz = HorizonConfig(stab)
-    a = build_nnc_witness(history, world.trace, mode)
-    reports = [check_composite(a, "BEC", WEAK, F_NNC, hz),
-               check_composite(a, "Lin", STRONG, F_NNC, hz)]
-    pending = [e.id for e in history if e.rval.is_pending()]
-    return RunArtifact("annc-async", mode, history, world.trace,
-                       {"counter": a}, reports,
-                       {"pending": pending}, world, hz)
+def run_scenario(scenario, seed=0, mode=None):
+    """Run a `Scenario`, or the registered one of that name."""
+    sc = SCENARIOS[scenario] if isinstance(scenario, str) else scenario
+    mode = mode or sc.mode
+    world = trace = None
+    extras = {}
+    if sc.replicas is None:
+        history = sc.fixture()
+        hz = HorizonConfig(len(history))
+    else:
+        world = SimWorld(sc.replicas(), replace(sc.schedule, seed=seed),
+                         sc.invokes, mode=mode, protocol=sc.protocol)
+        if sc.split_step is not None:
+            world.run_until(sc.split_step)
+            extras["diverged_during_partition"] = not converged(world)
+        world.run_to_quiescence()
+        hz = HorizonConfig(inject_probes(world, sc.probe, WEAK,
+                                         sc.probe_count))
+        trace = world.trace
+        history = history_of(trace)
+    if sc.act is not None:
+        sc.act.check_history(history)
+    rdt = sc.act.rdt if sc.act is not None else None
+    art = RunArtifact(sc.name, mode, history, trace, extras=extras,
+                      world=world, horizon=hz)
+    if sc.witness is not None:
+        label, a = sc.witness(history, world)
+        art.witnesses[label] = a
+        art.reports = [check(a, p, lvl, rdt, hz) for p, lvl in sc.checks]
+    else:
+        art.reports = [_search(art, p, lvl, rdt) for p, lvl in sc.checks]
+    if sc.extras is not None:
+        extras.update(sc.extras(art))
+    return art
 
 
-def scenario_annc_partition(seed=0, mode="stable"):
-    schedule = Schedule(seed=seed, rb_delay=2, tob_delay=4,
-                        partitions=((10, ((0, 1), (2,))),
-                                    (60, ((0, 1, 2),))))
-    workload = [
-        Invoke(1, "c0", 0, op("add", (5,)), WEAK),
-        Invoke(12, "c1", 0, op("add", (2,)), WEAK),
-        Invoke(14, "c2", 2, op("add", (7,)), WEAK),
-        Invoke(16, "c3", 2, op("get"), WEAK),
-        Invoke(20, "c4", 1, op("subtract", (3,)), STRONG),
-        Invoke(70, "c5", 2, op("get"), WEAK),
-    ]
-    world = _counter_world(schedule, workload, mode)
-    world.run_until(55)
-    split_digests = [r.convergence_digest() for r in world.replicas]
-    world.run_to_quiescence()
-    stab = inject_probes(world, op("get"), WEAK)
-    history = history_of(world.trace)
-    hz = HorizonConfig(stab)
-    a = build_nnc_witness(history, world.trace, mode)
-    reports = [check_composite(a, "BEC", WEAK, F_NNC, hz)]
-    return RunArtifact("annc-partition-convergence", mode, history,
-                       world.trace, {"counter": a}, reports,
-                       {"diverged_during_partition":
-                        len(set(split_digests)) > 1,
-                        "converged": converged(world)}, world, hz)
+def _search(art, predicate, level, rdt):
+    """A verdict by exhaustive search: it holds iff some witness exists."""
+    result = art.searches[predicate, level] = brute_force_witness(
+        art.history, predicate, level, rdt, art.horizon)
+    if result.satisfiable:
+        return PredicateReport(predicate, level, HOLDS)
+    return PredicateReport(predicate, level, VIOLATED, (
+        ("unsatisfiable", result.ars_tried, result.candidates_tried),))
 
 
-# -- primary-commit log scenarios -----------------------------------------
+# -- witness builders and extras ---------------------------------------------
 
-def _classic_world(schedule, workload, mode):
-    replicas = [ClassicLogReplica(0), ClassicLogReplica(1),
-                ClassicLogReplica(2, is_primary=True)]
-    return SimWorld(replicas, schedule, workload, mode=mode,
-                    protocol="classic-log")
-
-
-def _classic_run(seed, mode):
-    schedule = Schedule(seed=seed, rb_delay=20,
-                        rb_delays=((0, 2, 3), (1, 2, 40), (1, 0, 10)))
-    workload = [
-        Invoke(1, "cu2", 1, op("upd_y"), WEAK),
-        Invoke(5, "cu1", 0, op("upd_x"), WEAK),
-        Invoke(14, "cq1", 0, op("read_z"), WEAK),
-        Invoke(33, "cq2", 1, op("read_z"), WEAK),
-    ]
-    world = _classic_world(schedule, workload, mode)
-    world.run_to_quiescence()
-    stab = inject_probes(world, op("read_z"), WEAK)
-    history = history_of(world.trace)
-    dot_to_event = {r.req_dot: e for e, r in world.trace.events.items()}
-    commit = [dot_to_event[d] for d in world.replicas[2].committed_dots()
-              if d in dot_to_event]
-    a = build_causal_witness(history, world.trace, commit)
-    return world, history, HorizonConfig(stab), a
-
-
-def scenario_classic_tor(seed=0, mode="stable"):
-    world, history, hz, a = _classic_run(seed, mode)
-    q1 = rvals_named(history, "cq1")
-    q2 = rvals_named(history, "cq2")
-    reports = []
-    return RunArtifact("bayou-classic-tor", mode, history, world.trace,
-                       {"causal": a}, reports,
-                       {"q1": q1, "q2": q2, "converged": converged(world)},
-                       world, hz)
-
-
-def scenario_classic_circular(seed=0, mode="stable"):
-    world, history, hz, a = _classic_run(seed, mode)
-    ncc = check_NCC(a, WEAK)
-    return RunArtifact("bayou-classic-circular", mode, history, world.trace,
-                       {"causal": a}, [ncc],
-                       {"cycle": ncc.counterexample[0] if ncc.counterexample
-                        else ()}, world, hz)
+def _primary_commit_witness(history, world):
+    """The causal witness, arbitrated in the primary's commit order."""
+    event_of = {r.req_dot: e for e, r in world.trace.events.items()}
+    commit = [event_of[d] for d in world.replicas[2].committed_dots()
+              if d in event_of]
+    return "causal", build_causal_witness(history, world.trace, commit)
 
 
 def rvals_named(history, client):
@@ -210,102 +158,34 @@ def rvals_named(history, client):
     return vals[0] if len(vals) == 1 else vals
 
 
-# -- tentative-log scenarios -----------------------------------------------
-
-def _log_world(schedule, workload, mode):
-    replicas = [MixedLogReplica(0), MixedLogReplica(1)]
-    return SimWorld(replicas, schedule, workload, mode=mode, protocol="log")
+def _converged(art):
+    return {"converged": converged(art.world)}
 
 
-def scenario_log_stable(seed=0, mode="stable"):
-    schedule = Schedule(seed=seed, rb_delay=3, tob_delay=15,
-                        clock_skew=((0, 10),))
-    workload = [
-        Invoke(2, "cA", 0, op("append", ("a",)), WEAK),
-        Invoke(4, "cB", 1, op("append", ("b",)), WEAK),
-        Invoke(9, "cR", 0, op("read"), WEAK),
-        Invoke(20, "cS", 1, op("read"), STRONG),
-        Invoke(60, "cR2", 0, op("read"), WEAK),
-    ]
-    world = _log_world(schedule, workload, mode)
-    world.run_to_quiescence()
-    stab = inject_probes(world, op("read"), WEAK)
-    history = history_of(world.trace)
-    hz = HorizonConfig(stab)
-    a = build_log_witness(history, world.trace, mode)
-    reports = [check_composite(a, "FEC", WEAK, F_SEQ, hz),
-               check_composite(a, "Lin", STRONG, F_SEQ, hz)]
-    tentative_read = next(e.id for e in history if e.client == "cR")
-    return RunArtifact("acutebayou-stable", mode, history, world.trace,
-                       {"log": a}, reports,
-                       {"tentative_read": tentative_read,
-                        "tentative_value": rvals_named(history, "cR"),
-                        "final_value": rvals_named(history, "cR2"),
-                        "strong_value": rvals_named(history, "cS"),
-                        "par_differs": a.par[tentative_read] != a.ar,
-                        "excerpt": tuple(
-                            e.id for e in history
-                            if e.client in ("cA", "cB", "cR", "cR2")),
-                        "converged": converged(world)}, world, hz)
+def _pending(art):
+    return {"pending": [e.id for e in art.history if e.rval.is_pending()]}
 
 
-def scenario_log_async(seed=0, mode="async"):
-    schedule = Schedule(seed=seed, rb_delay=3, tob_delay=15,
-                        clock_skew=((0, 10),), tob_cutoff=30)
-    workload = [
-        Invoke(2, "cA", 0, op("append", ("a",)), WEAK),
-        Invoke(4, "cB", 1, op("append", ("b",)), WEAK),
-        Invoke(9, "cR", 0, op("read"), WEAK),
-        Invoke(35, "cS", 0, op("append", ("c",)), STRONG),
-        Invoke(60, "cR2", 1, op("read"), WEAK),
-    ]
-    world = _log_world(schedule, workload, mode)
-    world.run_to_quiescence()
-    stab = inject_probes(world, op("read"), WEAK)
-    history = history_of(world.trace)
-    hz = HorizonConfig(stab)
-    a = build_log_witness(history, world.trace, mode)
-    reports = [check_composite(a, "FEC", WEAK, F_SEQ, hz),
-               check_composite(a, "Lin", STRONG, F_SEQ, hz)]
-    pending = [e.id for e in history if e.rval.is_pending()]
-    return RunArtifact("acutebayou-async", mode, history, world.trace,
-                       {"log": a}, reports, {"pending": pending}, world, hz)
+def _tentative_log_extras(art):
+    h, a = art.history, art.witnesses["log"]
+    tentative_read = next(e.id for e in h if e.client == "cR")
+    return {"tentative_read": tentative_read,
+            "tentative_value": rvals_named(h, "cR"),
+            "final_value": rvals_named(h, "cR2"),
+            "strong_value": rvals_named(h, "cS"),
+            "par_differs": a.par[tentative_read] != a.ar,
+            "excerpt": tuple(e.id for e in h
+                             if e.client in ("cA", "cB", "cR", "cR2")),
+            **_converged(art)}
 
-
-# -- shadow-operation scenario ---------------------------------------------
-
-def scenario_redblue(seed=0, mode="stable"):
-    schedule = Schedule(seed=seed, rb_delay=5,
-                        rb_delays=((0, 1, 30),))
-    replicas = [RedBlueReplica(0), RedBlueReplica(1)]
-    workload = [
-        Invoke(1, "c1", 0, op("append", ("a",)), WEAK),
-        Invoke(5, "c2", 1, op("append", ("b",)), WEAK),
-        Invoke(8, "c3", 1, op("read"), WEAK),
-    ]
-    world = SimWorld(replicas, schedule, workload, mode=mode,
-                     protocol="redblue")
-    world.run_to_quiescence()
-    inject_probes(world, op("read"), WEAK, count=1)
-    history = history_of(world.trace)
-    finals = [e.rval.value for e in history if e.client.startswith("probe")]
-    return RunArtifact("redblue-anomaly", mode, history, world.trace, {}, [],
-                       {"anomaly_read": rvals_named(history, "c3"),
-                        "final_reads": finals,
-                        "converged": converged(world)}, world,
-                       HorizonConfig(len(history)))
-
-
-# -- impossibility fixture ---------------------------------------------------
 
 def impossibility_history(flip=False):
     """Two concurrent appends followed by two concurrent reads that disagree
     on the order.  With flip=True the disagreement is repaired."""
     first_read = "ab" if flip else "ba"
-    from .model import rv_str, OK as ok_rv
     events = [
-        Event(0, op("append", ("a",)), ok_rv, STRONG, "ca", 0, 1),
-        Event(1, op("append", ("b",)), ok_rv, STRONG, "cb", 0, 1),
+        Event(0, op("append", ("a",)), OK, STRONG, "ca", 0, 1),
+        Event(1, op("append", ("b",)), OK, STRONG, "cb", 0, 1),
         Event(2, op("read"), rv_str(first_read), STRONG, "cr", 2, 3),
         Event(3, op("read"), rv_str("ab"), STRONG, "cx", 2, 3),
     ]
@@ -314,127 +194,145 @@ def impossibility_history(flip=False):
     return h
 
 
-def scenario_impossibility(seed=0, mode="stable"):
-    h = impossibility_history()
-    hz = HorizonConfig(len(h))
-    result = brute_force_witness(h, "Lin", STRONG, F_SEQ, hz)
+def _impossibility_extras(art):
+    result = art.searches["Lin", STRONG]
     flipped = brute_force_witness(impossibility_history(flip=True),
-                                  "Lin", STRONG, F_SEQ, hz)
-    verdict = VIOLATED if not result.satisfiable else HOLDS
-    report = PredicateReport(
-        "Lin", STRONG, verdict,
-        (("unsatisfiable", result.ars_tried, result.candidates_tried),)
-        if not result.satisfiable else ())
-    return RunArtifact("impossibility", mode, h, None, {},
-                       [report],
-                       {"flipped_ar": flipped.witness.ar
-                        if flipped.witness is not None else None,
-                        "satisfiable": result.satisfiable,
-                        "flipped_satisfiable": flipped.satisfiable,
-                        "ars_tried": result.ars_tried,
-                        "candidates_tried": result.candidates_tried}, None, hz)
+                                  "Lin", STRONG, F_SEQ, art.horizon)
+    return {"flipped_ar": flipped.witness.ar
+            if flipped.witness is not None else None,
+            "satisfiable": result.satisfiable,
+            "flipped_satisfiable": flipped.satisfiable,
+            "ars_tried": result.ars_tried,
+            "candidates_tried": result.candidates_tried}
 
 
-SCENARIOS = {
-    "annc-stable": scenario_annc_stable,
-    "annc-async": scenario_annc_async,
-    "annc-partition-convergence": scenario_annc_partition,
-    "bayou-classic-tor": scenario_classic_tor,
-    "bayou-classic-circular": scenario_classic_circular,
-    "acutebayou-stable": scenario_log_stable,
-    "acutebayou-async": scenario_log_async,
-    "redblue-anomaly": scenario_redblue,
-    "impossibility": scenario_impossibility,
-}
+# -- the registry ------------------------------------------------------------
 
+# fields that records share; the replica factories look their classes up
+# when a run starts
+_COUNTER = dict(
+    replicas=lambda: [NncReplica(i) for i in range(3)],
+    protocol="nnc", probe=op("get"), act=ACT_NNC,
+    witness=lambda h, world: (
+        "counter", build_nnc_witness(h, world.trace, world.mode)))
 
-def run_scenario(name, seed=0, mode=None):
-    if name not in SCENARIOS:
-        raise KeyError(name)
-    fn = SCENARIOS[name]
-    if mode is None:
-        return fn(seed=seed)
-    return fn(seed=seed, mode=mode)
+_PRIMARY_COMMIT = dict(
+    replicas=lambda: [ClassicLogReplica(0), ClassicLogReplica(1),
+                      ClassicLogReplica(2, is_primary=True)],
+    protocol="classic-log",
+    schedule=Schedule(rb_delay=20,
+                      rb_delays=((0, 2, 3), (1, 2, 40), (1, 0, 10))),
+    invokes=(
+        Invoke(1, "cu2", 1, op("upd_y"), WEAK),
+        Invoke(5, "cu1", 0, op("upd_x"), WEAK),
+        Invoke(14, "cq1", 0, op("read_z"), WEAK),
+        Invoke(33, "cq2", 1, op("read_z"), WEAK),
+    ),
+    probe=op("read_z"), witness=_primary_commit_witness)
 
+_TENTATIVE_LOG = dict(
+    replicas=lambda: [MixedLogReplica(0), MixedLogReplica(1)],
+    protocol="log", probe=op("read"), act=ACT_SEQ_MIXED,
+    witness=lambda h, world: (
+        "log", build_log_witness(h, world.trace, world.mode)),
+    checks=(("FEC", WEAK), ("Lin", STRONG)))
 
-# -- randomized workloads -----------------------------------------------------
-
-def random_counter_run(seed, max_events=8, n_replicas=3, probe_count=3,
-                       probe_replicas=None, allow_async=True):
-    """A seeded random counter workload; returns (artifact extras dict)."""
-    rng = random.Random(seed)
-    mode = "async" if allow_async and rng.random() < 0.3 else "stable"
-    cutoff = rng.randint(10, 40) if mode == "async" else None
-    schedule = Schedule(seed=seed, rb_delay=rng.randint(1, 4),
-                        tob_delay=rng.randint(2, 6),
-                        jitter=rng.randint(0, 2), tob_cutoff=cutoff)
-    n = rng.randint(1, max_events)
-    workload = []
-    step = 0
-    for i in range(n):
-        step += rng.randint(1, 8)
-        kind = rng.choice(["add", "add", "get", "get", "subtract"])
-        if kind == "add":
-            workload.append(Invoke(step, "c%d" % i,
-                                   rng.randrange(n_replicas),
-                                   op("add", (rng.randint(1, 5),)), WEAK))
-        elif kind == "get":
-            workload.append(Invoke(step, "c%d" % i,
-                                   rng.randrange(n_replicas),
-                                   op("get"), WEAK))
-        else:
-            workload.append(Invoke(step, "c%d" % i,
-                                   rng.randrange(n_replicas),
-                                   op("subtract", (rng.randint(1, 4),)),
-                                   STRONG))
-    replicas = [NncReplica(i) for i in range(n_replicas)]
-    world = SimWorld(replicas, schedule, workload, mode=mode, protocol="nnc")
-    world.run_to_quiescence()
-    stab = inject_probes(world, op("get"), WEAK, count=probe_count,
-                         replicas=probe_replicas)
-    history = history_of(world.trace)
-    hz = HorizonConfig(stab, probe_count)
-    a = build_nnc_witness(history, world.trace, mode)
-    return history, world.trace, a, hz, mode
-
-
-def random_log_run(seed, max_events=8):
-    rng = random.Random(seed)
-    schedule = Schedule(seed=seed, rb_delay=rng.randint(1, 5),
-                        tob_delay=rng.randint(3, 8),
-                        jitter=rng.randint(0, 2),
-                        clock_skew=((0, rng.randint(0, 12)),))
-    n = rng.randint(1, max_events)
-    workload = []
-    step = 0
-    letters = "abcdefgh"
-    for i in range(n):
-        step += rng.randint(1, 8)
-        kind = rng.choice(["append", "append", "read", "sread"])
-        rid = rng.randrange(2)
-        if kind == "append":
-            lvl = rng.choice([WEAK, WEAK, STRONG])
-            workload.append(Invoke(step, "c%d" % i, rid,
-                                   op("append", (letters[i],)), lvl))
-        elif kind == "read":
-            workload.append(Invoke(step, "c%d" % i, rid, op("read"), WEAK))
-        else:
-            workload.append(Invoke(step, "c%d" % i, rid, op("read"), STRONG))
-    world = _log_world(schedule, workload, "stable")
-    world.run_to_quiescence()
-    stab = inject_probes(world, op("read"), WEAK)
-    history = history_of(world.trace)
-    hz = HorizonConfig(stab)
-    a = build_log_witness(history, world.trace, "stable")
-    return history, world.trace, a, hz
-
-
-def agreement_case(seed):
-    """Tiny counter run (at most 4 events including the probe) for comparing
-    the witness builder's verdict against exhaustive search."""
-    history, trace, a, hz, mode = random_counter_run(
-        seed, max_events=3, n_replicas=2, probe_count=1,
-        probe_replicas=(0,), allow_async=True)
-    built = check_composite(a, "BEC", WEAK, F_NNC, hz)
-    brute = brute_force_witness(history, "BEC", WEAK, F_NNC, hz)
-    return built.ok, brute.satisfiable, history, a
+SCENARIOS = {sc.name: sc for sc in (
+    Scenario(
+        "annc-stable", "counter, every broadcast delivered", **_COUNTER,
+        schedule=Schedule(rb_delay=2, tob_delay=4),
+        invokes=(
+            Invoke(1, "c0", 0, op("add", (5,)), WEAK),
+            Invoke(2, "c1", 1, op("add", (3,)), WEAK),
+            Invoke(4, "c2", 2, op("get"), WEAK),
+            Invoke(6, "c3", 0, op("subtract", (4,)), STRONG),
+            Invoke(8, "c4", 1, op("get"), WEAK),
+            Invoke(20, "c5", 2, op("subtract", (10,)), STRONG),
+            Invoke(40, "c6", 0, op("get"), WEAK),
+        ),
+        checks=(("BEC", WEAK), ("Lin", STRONG)), extras=_converged),
+    Scenario(
+        "annc-async", "counter, a subtract's total-order message is withheld",
+        mode="async", **_COUNTER,
+        schedule=Schedule(rb_delay=2, tob_delay=4, tob_cutoff=15),
+        invokes=(
+            Invoke(1, "c0", 0, op("add", (5,)), WEAK),
+            Invoke(2, "c1", 1, op("add", (3,)), WEAK),
+            Invoke(6, "c2", 0, op("subtract", (4,)), STRONG),
+            Invoke(8, "c3", 1, op("get"), WEAK),
+            Invoke(20, "c4", 2, op("subtract", (2,)), STRONG),
+            Invoke(40, "c5", 0, op("get"), WEAK),
+        ),
+        checks=(("BEC", WEAK), ("Lin", STRONG)), extras=_pending),
+    Scenario(
+        "annc-partition-convergence", "counter, network splits then heals",
+        **_COUNTER,
+        schedule=Schedule(rb_delay=2, tob_delay=4,
+                          partitions=((10, ((0, 1), (2,))),
+                                      (60, ((0, 1, 2),)))),
+        invokes=(
+            Invoke(1, "c0", 0, op("add", (5,)), WEAK),
+            Invoke(12, "c1", 0, op("add", (2,)), WEAK),
+            Invoke(14, "c2", 2, op("add", (7,)), WEAK),
+            Invoke(16, "c3", 2, op("get"), WEAK),
+            Invoke(20, "c4", 1, op("subtract", (3,)), STRONG),
+            Invoke(70, "c5", 2, op("get"), WEAK),
+        ),
+        checks=(("BEC", WEAK),), split_step=55, extras=_converged),
+    Scenario(
+        "bayou-classic-tor", "primary-commit log, tentative reads disagree",
+        **_PRIMARY_COMMIT,
+        extras=lambda art: {"q1": rvals_named(art.history, "cq1"),
+                            "q2": rvals_named(art.history, "cq2"),
+                            **_converged(art)}),
+    Scenario(
+        "bayou-classic-circular", "primary-commit log, causality cycle check",
+        **_PRIMARY_COMMIT, checks=(("NCC", WEAK),),
+        extras=lambda art: {"cycle": art.reports[0].counterexample[0]
+                            if art.reports[0].counterexample else ()}),
+    Scenario(
+        "acutebayou-stable", "tentative log, every broadcast delivered",
+        **_TENTATIVE_LOG,
+        schedule=Schedule(rb_delay=3, tob_delay=15, clock_skew=((0, 10),)),
+        invokes=(
+            Invoke(2, "cA", 0, op("append", ("a",)), WEAK),
+            Invoke(4, "cB", 1, op("append", ("b",)), WEAK),
+            Invoke(9, "cR", 0, op("read"), WEAK),
+            Invoke(20, "cS", 1, op("read"), STRONG),
+            Invoke(60, "cR2", 0, op("read"), WEAK),
+        ),
+        extras=_tentative_log_extras),
+    Scenario(
+        "acutebayou-async", "tentative log, a strong commit is withheld",
+        mode="async", **_TENTATIVE_LOG,
+        schedule=Schedule(rb_delay=3, tob_delay=15, clock_skew=((0, 10),),
+                          tob_cutoff=30),
+        invokes=(
+            Invoke(2, "cA", 0, op("append", ("a",)), WEAK),
+            Invoke(4, "cB", 1, op("append", ("b",)), WEAK),
+            Invoke(9, "cR", 0, op("read"), WEAK),
+            Invoke(35, "cS", 0, op("append", ("c",)), STRONG),
+            Invoke(60, "cR2", 1, op("read"), WEAK),
+        ),
+        extras=_pending),
+    Scenario(
+        "redblue-anomaly", "shadow operations, stale read then convergence",
+        replicas=lambda: [RedBlueReplica(0), RedBlueReplica(1)],
+        protocol="redblue",
+        schedule=Schedule(rb_delay=5, rb_delays=((0, 1, 30),)),
+        invokes=(
+            Invoke(1, "c1", 0, op("append", ("a",)), WEAK),
+            Invoke(5, "c2", 1, op("append", ("b",)), WEAK),
+            Invoke(8, "c3", 1, op("read"), WEAK),
+        ),
+        probe=op("read"), probe_count=1, act=ACT_SEQ_REDBLUE,
+        extras=lambda art: {
+            "anomaly_read": rvals_named(art.history, "c3"),
+            "final_reads": [e.rval.value for e in art.history
+                            if e.client.startswith("probe")],
+            **_converged(art)}),
+    Scenario(
+        "impossibility", "fixture history with no valid witness",
+        fixture=impossibility_history, act=ACT_SEQ_MIXED,
+        checks=(("Lin", STRONG),), extras=_impossibility_extras),
+)}

@@ -165,6 +165,15 @@ class Relation:
     def nodes(self):
         return set(self._succ) | set(self._pred)
 
+    def induced(self, ids) -> "Relation":
+        """The edges with both ends in ids: one mask AND per node."""
+        keep = 0
+        for i in ids:
+            keep |= 1 << i
+        return Relation._of(
+            {a: m & keep for a, m in self._succ.items() if keep >> a & 1},
+            {b: m & keep for b, m in self._pred.items() if keep >> b & 1})
+
     def transitive_closure(self) -> "Relation":
         return Relation._of(_warshall(self._succ), _warshall(self._pred))
 

@@ -83,10 +83,7 @@ def check_EV(a: AbstractExecution, l: str, hz: HorizonConfig) -> PredicateReport
 
 def check_NCC(a: AbstractExecution, l: str) -> PredicateReport:
     """acyclic(hb n (L x L)): no causal cycle among level-l events."""
-    L = set(a.history.level_events(l))
-    hb = happens_before(a)
-    hb_L = Relation((x, y) for x in L for y in hb.succ(x) & L)
-    cycle = find_cycle(hb_L)
+    cycle = find_cycle(happens_before(a).induced(a.history.level_events(l)))
     if cycle is None:
         return PredicateReport("NCC", l, HOLDS)
     # expand to a path through the underlying so u vis edges so the
@@ -114,7 +111,7 @@ def _path_nodes(rel: Relation, src, dst):
     return {src, dst}
 
 
-def check_RVal(a: AbstractExecution, l: str, spec: RdtSpec) -> PredicateReport:
+def _check_values(name, a, l, spec, context):
     """rval(e) = F(op(e), context(A,e)) for every level-l event.
 
     A pending level-l event can never match F and counts as a violation.
@@ -126,29 +123,22 @@ def check_RVal(a: AbstractExecution, l: str, spec: RdtSpec) -> PredicateReport:
         if e.rval.is_pending():
             bad.append((e.id, "pending"))
             continue
-        got = spec.evaluate(e.op, context_of(a, e.id))
+        got = spec.evaluate(e.op, context(a, e.id))
         if got != e.rval:
             bad.append((e.id, "expected %r got %r" % (e.rval, got)))
     if bad:
-        return PredicateReport("RVal", l, VIOLATED, tuple(bad))
-    return PredicateReport("RVal", l, HOLDS)
+        return PredicateReport(name, l, VIOLATED, tuple(bad))
+    return PredicateReport(name, l, HOLDS)
+
+
+def check_RVal(a: AbstractExecution, l: str, spec: RdtSpec) -> PredicateReport:
+    """Return values follow F over context(A,e), ordered by ar."""
+    return _check_values("RVal", a, l, spec, context_of)
 
 
 def check_FRVal(a: AbstractExecution, l: str, spec: RdtSpec) -> PredicateReport:
     """Like RVal but the context order follows the perceived arbitration par(e)."""
-    bad = []
-    for e in a.history:
-        if e.lvl != l:
-            continue
-        if e.rval.is_pending():
-            bad.append((e.id, "pending"))
-            continue
-        got = spec.evaluate(e.op, fcontext_of(a, e.id))
-        if got != e.rval:
-            bad.append((e.id, "expected %r got %r" % (e.rval, got)))
-    if bad:
-        return PredicateReport("FRVal", l, VIOLATED, tuple(bad))
-    return PredicateReport("FRVal", l, HOLDS)
+    return _check_values("FRVal", a, l, spec, fcontext_of)
 
 
 def check_CPar(a: AbstractExecution, l: str, hz: HorizonConfig) -> PredicateReport:
@@ -218,26 +208,41 @@ def check_RT(a: AbstractExecution, l: str) -> PredicateReport:
     return PredicateReport("RT", l, HOLDS)
 
 
-COMPOSITES = ("BEC", "FEC", "Seq", "Lin")
+# the predicates each composite conjoins, checked in this order
+COMPOSITES = {
+    "BEC": ("EV", "NCC", "RVal"),
+    "FEC": ("EV", "NCC", "FRVal", "CPar"),
+    "Seq": ("SinOrd", "SessArb", "BEC"),
+    "Lin": ("SinOrd", "RT", "BEC"),
+}
 
 
 def check_composite(a: AbstractExecution, which: str, l: str, spec: RdtSpec,
                     hz: HorizonConfig) -> PredicateReport:
-    """BEC = EV & NCC & RVal; FEC = EV & NCC & FRVal & CPar;
-    Seq = SinOrd & SessArb & BEC; Lin = SinOrd & RT & BEC."""
-    if which == "BEC":
-        subs = (check_EV(a, l, hz), check_NCC(a, l), check_RVal(a, l, spec))
-    elif which == "FEC":
-        subs = (check_EV(a, l, hz), check_NCC(a, l),
-                check_FRVal(a, l, spec), check_CPar(a, l, hz))
-    elif which == "Seq":
-        subs = (check_SinOrd(a, l), check_SessArb(a, l),
-                check_composite(a, "BEC", l, spec, hz))
-    elif which == "Lin":
-        subs = (check_SinOrd(a, l), check_RT(a, l),
-                check_composite(a, "BEC", l, spec, hz))
-    else:
+    """The conjunction of the composite's parts, one sub-report each."""
+    if which not in COMPOSITES:
         raise ValueError("unknown composite %r" % which)
+    subs = tuple(check(a, part, l, spec, hz) for part in COMPOSITES[which])
     verdict = VIOLATED if any(s.verdict == VIOLATED for s in subs) else HOLDS
     counter = tuple(s.predicate for s in subs if s.verdict == VIOLATED)
-    return PredicateReport(which, l, verdict, counter, tuple(subs))
+    return PredicateReport(which, l, verdict, counter, subs)
+
+
+PREDICATES = {
+    "EV": lambda a, l, spec, hz: check_EV(a, l, hz),
+    "NCC": lambda a, l, spec, hz: check_NCC(a, l),
+    "RVal": lambda a, l, spec, hz: check_RVal(a, l, spec),
+    "FRVal": lambda a, l, spec, hz: check_FRVal(a, l, spec),
+    "CPar": lambda a, l, spec, hz: check_CPar(a, l, hz),
+    "SinOrd": lambda a, l, spec, hz: check_SinOrd(a, l),
+    "SessArb": lambda a, l, spec, hz: check_SessArb(a, l),
+    "RT": lambda a, l, spec, hz: check_RT(a, l),
+}
+
+
+def check(a: AbstractExecution, which: str, l: str, spec: RdtSpec,
+          hz: HorizonConfig) -> PredicateReport:
+    """One of PREDICATES or COMPOSITES, by name."""
+    if which in PREDICATES:
+        return PREDICATES[which](a, l, spec, hz)
+    return check_composite(a, which, l, spec, hz)

@@ -123,12 +123,6 @@ class RdtSpec:
         return self._eval(op, c)
 
 
-def is_readonly(spec: RdtSpec, op: OperationLabel) -> bool:
-    if op.name not in spec.ops:
-        raise BadOperation(op.name)
-    return op.name in spec.readonly_ops
-
-
 F_SEQ = RdtSpec("f_seq", frozenset({"append", "read"}), frozenset({"read"}), eval_fseq)
 F_MVR = RdtSpec("f_mvr", frozenset({"write", "read"}), frozenset({"read"}), eval_fmvr)
 F_NNC = RdtSpec("f_nnc", frozenset({"add", "subtract", "get"}),

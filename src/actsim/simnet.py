@@ -31,10 +31,6 @@ TOB = "TOB"
 FIFO_RB = "FIFO_RB"
 
 
-class Quiescent(Exception):
-    pass
-
-
 class StepBudgetExceeded(RuntimeError):
     pass
 
@@ -158,9 +154,6 @@ class ProtocolTrace:
     events: dict = field(default_factory=dict)   # event id -> EventRecord
     steps: list = field(default_factory=list)    # StepRecord
 
-    def event_ids(self):
-        return sorted(self.events)
-
     def to_json(self):
         events = {}
         for eid, r in sorted(self.events.items()):
@@ -277,7 +270,6 @@ class SimWorld:
         self._client_waiting = {}
         self._next_event_id = 0
         self._current_event = None
-        self._current_replica = None
         for inv in workload:
             self._client_queue.setdefault(inv.client, []).append(inv)
         for q in self._client_queue.values():
@@ -450,16 +442,20 @@ class SimWorld:
 
     # -- the step loop -------------------------------------------------
 
-    def step(self):
+    def step(self, step_limit=None):
+        """Record one step and return True, popping deferred and dropped
+        actions on the way; return False, recording nothing, when no action
+        is left or, with a step_limit, the next is ready only after it."""
         self._refresh_internal()
-        while True:
-            if not self._heap:
-                raise Quiescent()
-            ready, klass, rid, seq, action = heapq.heappop(self._heap)
+        heap = self._heap
+        if step_limit is not None and heap and heap[0][0] > step_limit:
+            return False
+        while heap:
+            ready, klass, rid, seq, action = heapq.heappop(heap)
             self.now = max(self.now + 1, ready)
             if self._dispatch(action, rid):
-                return
-            # action was deferred or dropped; try the next one
+                return True
+        return False
 
     def _dispatch(self, action, rid):
         kind = action[0]
@@ -509,12 +505,7 @@ class SimWorld:
     def _do_deliver(self, mid, dest):
         msg = self.messages[mid]
         if not self._same_block(msg.origin, dest):
-            change = self.schedule.next_partition_change(self.now)
-            if change is None:
-                self.withheld.add((mid, dest))
-                return False
-            self._push(change, CLASS_DELIVER, dest, ("deliver", mid, dest))
-            return False
+            return self._defer_past_partition(("deliver", mid, dest))
         before = self._digest_before(dest)
         effects = self.replicas[dest].on_deliver(msg.kind, msg)
         self._note_delivered(dest, msg)
@@ -533,12 +524,7 @@ class SimWorld:
             return False
         majority = self._majority_block()
         if majority is not None and dest not in majority:
-            change = self.schedule.next_partition_change(self.now)
-            if change is None:
-                self.withheld.add((mid, dest))
-                return False
-            self._push(change, CLASS_DELIVER, dest, ("tob", mid, dest))
-            return False
+            return self._defer_past_partition(("tob", mid, dest))
         if mid not in self.tob_no:
             self.tob_no[mid] = len(self.tob_no) + 1
             ev = msg.cast_event
@@ -555,6 +541,17 @@ class SimWorld:
         self._flush_local()
         return True
 
+    def _defer_past_partition(self, action):
+        """Retry a blocked delivery once the partition changes, or else
+        withhold it."""
+        _, mid, dest = action
+        change = self.schedule.next_partition_change(self.now)
+        if change is None:
+            self.withheld.add((mid, dest))
+        else:
+            self._push(change, CLASS_DELIVER, dest, action)
+        return False
+
     def _do_internal(self, rid):
         self._internal_scheduled[rid] = False
         rep = self.replicas[rid]
@@ -568,30 +565,17 @@ class SimWorld:
         return True
 
     def run_to_quiescence(self, max_steps=100000):
-        steps = 0
-        while True:
-            try:
-                self.step()
-            except Quiescent:
-                return self
-            steps += 1
-            if steps > max_steps:
-                raise StepBudgetExceeded(steps)
+        return self.run_until(None, max_steps)
 
     def run_until(self, step_limit, max_steps=100000):
-        """Process actions whose ready time is <= step_limit."""
+        """Record steps until no action is left or, with a step_limit, the
+        next action is ready only after step_limit."""
         steps = 0
-        while True:
-            self._refresh_internal()
-            if not self._heap or self._heap[0][0] > step_limit:
-                return self
-            try:
-                self.step()
-            except Quiescent:
-                return self
+        while self.step(step_limit):
             steps += 1
             if steps > max_steps:
                 raise StepBudgetExceeded(steps)
+        return self
 
     def inject(self, client, replica, op, level, at_step=None):
         """Add a workload item after construction (e.g. tail probes)."""
@@ -609,13 +593,8 @@ class SimWorld:
 
 # -- the five implementation-restriction lints --------------------------
 
-LINT_RULES = (
-    "invisible_reads",
-    "input_driven_processing",
-    "op_driven_messages",
-    "highly_available_weak",
-    "non_blocking_strong",
-)
+def _rule(name, bad):
+    return PredicateReport(name, None, VIOLATED if bad else HOLDS, tuple(bad))
 
 
 def check_act_restrictions(trace: ProtocolTrace,
@@ -636,8 +615,7 @@ def check_act_restrictions(trace: ProtocolTrace,
             bad.append((eid, "state changed"))
         if eid not in rec.responses:
             bad.append((eid, "no response in the invoke step"))
-    subs.append(PredicateReport("invisible_reads", None,
-                                VIOLATED if bad else HOLDS, tuple(bad)))
+    subs.append(_rule("invisible_reads", bad))
 
     # rule 2: internal events happen only between an external stimulus and
     # the next passive state
@@ -651,8 +629,7 @@ def check_act_restrictions(trace: ProtocolTrace,
             bad.append((rec.step, rid))
         if rec.passive_after:
             active[rid] = False
-    subs.append(PredicateReport("input_driven_processing", None,
-                                VIOLATED if bad else HOLDS, tuple(bad)))
+    subs.append(_rule("input_driven_processing", bad))
 
     # rule 3: broadcasts require a previously invoked non-read-only operation
     bad = []
@@ -662,8 +639,7 @@ def check_act_restrictions(trace: ProtocolTrace,
             saw_update_invoke = True
         if rec.casts and not saw_update_invoke:
             bad.append((rec.step, rec.replica))
-    subs.append(PredicateReport("op_driven_messages", None,
-                                VIOLATED if bad else HOLDS, tuple(bad)))
+    subs.append(_rule("op_driven_messages", bad))
 
     # rule 4: weak operations return without awaiting deliveries
     bad = []
@@ -683,8 +659,7 @@ def check_act_restrictions(trace: ProtocolTrace,
         i = bisect_right(steps, ev.invoke_step)
         if i < len(steps) and steps[i] <= ev.return_step:
             bad.append((eid, "awaited a delivery at step %d" % steps[i]))
-    subs.append(PredicateReport("highly_available_weak", None,
-                                VIOLATED if bad else HOLDS, tuple(bad)))
+    subs.append(_rule("highly_available_weak", bad))
 
     # rule 5: a strong operation returns within a bounded number of steps
     # after its last TOB-cast message is TOB-delivered at its own replica
@@ -710,8 +685,7 @@ def check_act_restrictions(trace: ProtocolTrace,
         deadline = max(steps) + strong_budget
         if ev.return_step is None or ev.return_step > deadline:
             bad.append((eid, "no response by step %d" % deadline))
-    subs.append(PredicateReport("non_blocking_strong", None,
-                                VIOLATED if bad else HOLDS, tuple(bad)))
+    subs.append(_rule("non_blocking_strong", bad))
 
     verdict = VIOLATED if any(s.verdict == VIOLATED for s in subs) else HOLDS
     return PredicateReport("act_restrictions", None, verdict,

@@ -189,8 +189,12 @@ def brute_force_witness(history: History, target: str, level: str,
     only, which cannot lose witnesses; return-value checks here rely only on
     the context order, so carriers of value-constrained events are screened
     independently before composition.  Intended for histories of at most six
-    events.
+    events.  FEC is refused: perceived arbitration is not enumerated (every
+    par(e) is ar), so an FEC answer would be BEC's.
     """
+    if target == "FEC":
+        raise ValueError("brute force search does not enumerate perceived "
+                         "arbitration, so it cannot decide FEC")
     ids = history.ids()
     if len(ids) > 6:
         raise ValueError("brute force search is limited to 6 events")

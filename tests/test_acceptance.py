@@ -4,14 +4,14 @@ Run with `pytest tests/test_acceptance.py -v` to get one pass/fail line per
 criterion.
 """
 
-from actsim.harness import (agreement_case, random_counter_run,
-                            random_log_run, run_scenario)
+from actsim.harness import run_scenario
 from actsim.predicates import HorizonConfig, check_NCC
 from actsim.rdt import F_SEQ
 from actsim.simnet import check_act_restrictions
 from actsim.witness import brute_force_witness
 
 from mutants import RULES, mutant_runs, verdicts
+from runs import agreement_case, random_counter_run, random_log_run
 
 
 def report_map(artifact):

@@ -1,16 +1,33 @@
-"""Tests for the scenario registry and the command line interface."""
+"""Tests for the scenario registry and the command line interface.
 
+`PYTHONPATH=src python tests/test_harness.py` re-records
+`tests/data/scenarios.json`, the pinned output of every `actsim run`; do
+that only when a change to a scenario's output is intended.
+"""
+
+import contextlib
+import dataclasses
+import hashlib
+import io
 import json
 import os
+import sys
+import tempfile
 
 import pytest
 
+from actsim import harness
 from actsim.cli import main
 from actsim.harness import (SCENARIOS, history_of, inject_probes,
                             run_scenario)
 from actsim.model import History, OperationLabel, WEAK
 from actsim.protocols import NncReplica
-from actsim.simnet import Invoke, Schedule, SimWorld
+from actsim.rdt import BadOperation
+from actsim.simnet import Invoke, ProtocolTrace, Schedule, SimWorld
+
+PINNED = os.path.join(os.path.dirname(__file__), "data", "scenarios.json")
+PINNED_MODES = (None, "stable", "async")   # None: the scenario's own mode
+PINNED_SEEDS = (0, 1)
 
 
 def test_every_scenario_runs_and_validates_its_history():
@@ -51,6 +68,46 @@ def test_cli_list_scenarios(capsys):
     out = capsys.readouterr().out
     for name in SCENARIOS:
         assert name in out
+
+
+def test_readme_scenario_table_follows_the_registry():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as f:
+        section = f.read().split("## Scenarios\n", 1)[1]
+    rows = [tuple(cell.strip() for cell in line.strip("|").split("|"))
+            for line in section.splitlines() if line.startswith("|")]
+    assert rows[:2] == [("name", "what it shows"), ("---", "---")]
+    assert rows[2:] == [(s.name, s.note) for s in SCENARIOS.values()]
+
+
+def test_runs_obey_the_scenario_act_spec(monkeypatch, capsys):
+    stock = SCENARIOS["annc-stable"]
+    weak_subtract = tuple(
+        dataclasses.replace(inv, level=WEAK)
+        if inv.op.name == "subtract" else inv for inv in stock.invokes)
+    bad = dataclasses.replace(stock, invokes=weak_subtract)
+    with pytest.raises(BadOperation):
+        run_scenario(bad)
+    monkeypatch.setitem(harness.SCENARIOS, "annc-stable", bad)
+    assert main(["run", "annc-stable"]) == 2
+    assert "error: event 3 runs subtract at level weak" in (
+        capsys.readouterr().err)
+
+
+def test_cli_brute_refuses_fec(tmp_path, capsys):
+    # the four-event excerpt of test 03: the builder's witness satisfies
+    # FEC on it, but the search would answer for BEC and say unsatisfiable
+    art = run_scenario("acutebayou-stable")
+    sub, mapping = art.history.subhistory(art.extras["excerpt"])
+    path = tmp_path / "excerpt.jsonl"
+    path.write_text(sub.to_jsonl())
+    code = main(["brute", str(path), "--target", "FEC", "--level", "weak",
+                 "--rdt", "f_seq", "--stabilization-index",
+                 str(max(mapping.values()))])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_run_writes_artifacts_and_reports(tmp_path, capsys):
@@ -161,3 +218,60 @@ def test_cli_check_rejects_malformed_witnesses(tmp_path, capsys, vis_edge,
                  "--predicate", "BEC", "--level", "weak", "--rdt", "f_nnc"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+# -- pinned scenario outputs -------------------------------------------------
+
+def run_output(name, mode, seed, out_dir):
+    """What `actsim run` prints, returns and writes for one scenario run:
+    exit status, stdout and stderr lines, the trace digest and the sha256 of
+    every artifact file."""
+    argv = ["run", name, "--seed", str(seed), "--out", out_dir]
+    if mode is not None:
+        argv += ["--mode", mode]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    files = {}
+    for fname in sorted(os.listdir(out_dir)):
+        with open(os.path.join(out_dir, fname), "rb") as f:
+            files[fname] = hashlib.sha256(f.read()).hexdigest()
+    digest = None
+    if "trace.json" in files:
+        with open(os.path.join(out_dir, "trace.json")) as f:
+            digest = ProtocolTrace.from_json(json.load(f)).digest()
+    return {"exit": code, "stdout": out.getvalue().splitlines(),
+            "stderr": err.getvalue().splitlines(), "trace_digest": digest,
+            "files": files}
+
+
+def scenario_outputs(name, root):
+    """Every pinned run of one scenario, keyed "name/mode/seed"."""
+    got = {}
+    for mode in PINNED_MODES:
+        for seed in PINNED_SEEDS:
+            key = "%s/%s/%d" % (name, mode or "default", seed)
+            out_dir = os.path.join(root, key.replace("/", "-"))
+            got[key] = run_output(name, mode, seed, out_dir)
+    return got
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_run_output_matches_the_pinned_record(tmp_path, name):
+    with open(PINNED) as f:
+        pinned = json.load(f)
+    got = scenario_outputs(name, str(tmp_path))
+    for key, value in got.items():
+        assert value == pinned[key], key
+
+
+if __name__ == "__main__":
+    record = {}
+    with tempfile.TemporaryDirectory() as root:
+        for scenario in SCENARIOS:
+            record.update(scenario_outputs(scenario, root))
+    os.makedirs(os.path.dirname(PINNED), exist_ok=True)
+    with open(PINNED, "w") as f:
+        json.dump(record, f, indent=1, sort_keys=True)
+        f.write("\n")
+    print("recorded %d runs in %s" % (len(record), PINNED), file=sys.stderr)

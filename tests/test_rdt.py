@@ -8,7 +8,7 @@ from actsim.model import (AbstractExecution, Event, OK, OperationLabel,
                           rv_str)
 from actsim.rdt import (ACT_NNC, BadOperation, F_MVR, F_NNC, F_SEQ,
                         MissingPar, OperationContext, context_of, eval_fmvr,
-                        eval_fnnc, eval_fseq, f_nnc, fcontext_of, is_readonly)
+                        eval_fnnc, eval_fseq, f_nnc, fcontext_of)
 from actsim.model import History
 
 
@@ -111,12 +111,12 @@ def test_fcontext_orders_by_perceived_arbitration():
 
 
 def test_readonly_classification():
-    assert is_readonly(F_NNC, lab("get"))
-    assert not is_readonly(F_NNC, lab("add", 1))
-    assert is_readonly(F_SEQ, lab("read"))
-    assert is_readonly(F_MVR, lab("read"))
-    with pytest.raises(BadOperation):
-        is_readonly(F_SEQ, lab("get"))
+    assert "get" in F_NNC.readonly_ops
+    assert "add" not in F_NNC.readonly_ops
+    assert "read" in F_SEQ.readonly_ops
+    assert "read" in F_MVR.readonly_ops
+    assert F_SEQ.readonly_ops <= F_SEQ.ops
+    assert "get" not in F_SEQ.ops
 
 
 def test_act_spec_enforces_operation_levels():

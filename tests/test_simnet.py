@@ -3,11 +3,12 @@
 import pytest
 
 from actsim import harness
-from actsim.harness import random_counter_run, run_scenario
+from actsim.harness import run_scenario
 from actsim.model import OperationLabel, STRONG, WEAK
 from actsim.protocols import NncReplica, Replica
 from actsim.simnet import (Invoke, Schedule, SimWorld, StepBudgetExceeded,
                            TOB, UnknownReplica, check_act_restrictions)
+from runs import random_counter_run
 
 
 def lab(name, *args):
