@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate
 from operator import or_
 from typing import Callable, Iterable, Optional
@@ -96,6 +96,11 @@ def _bits(mask):
     return out
 
 
+def id_mask(ids) -> int:
+    """The bitmask with bit i set for each i in ids."""
+    return reduce(or_, map((1).__lshift__, ids), 0)
+
+
 def _or(x, y):
     out = dict(x)
     for k, m in y.items():
@@ -105,6 +110,16 @@ def _or(x, y):
 
 def _and(x, y):
     return {k: m & y[k] for k, m in x.items() if k in y}
+
+
+def _transpose(rows):
+    """The masks of the inverse relation."""
+    out = {}
+    for a, m in rows.items():
+        bit = 1 << a
+        for b in _bits(m):
+            out[b] = out.get(b, 0) | bit
+    return out
 
 
 def _warshall(rows):
@@ -124,25 +139,49 @@ class Relation:
     Each id maps to a successor and a predecessor bitmask: bit b of the
     successor mask of a (and bit a of the predecessor mask of b) is set iff
     a -> b.  Empty masks are not stored, so equal relations have equal maps.
-    Only this module reads the masks.
+    A relation built from one side (`from_pred_masks`, `transitive_closure`)
+    derives the other by transposition the first time it is read.  Masks
+    enter through `from_pred_masks` and leave through `pred_mask`; only this
+    module reads the maps.
     """
 
-    __slots__ = ("_succ", "_pred")
+    __slots__ = ("_s", "_p")     # successor / predecessor maps, or None
 
     def __init__(self, edges: Iterable[tuple] = ()):
         succ, pred = {}, {}
         for a, b in edges:
             succ[a] = succ.get(a, 0) | 1 << b
             pred[b] = pred.get(b, 0) | 1 << a
-        self._succ = succ
-        self._pred = pred
+        self._s = succ
+        self._p = pred
 
     @classmethod
     def _of(cls, succ, pred) -> "Relation":
         rel = cls.__new__(cls)
-        rel._succ = {a: m for a, m in succ.items() if m}
-        rel._pred = {b: m for b, m in pred.items() if m}
+        rel._s = None if succ is None else {a: m for a, m in succ.items() if m}
+        rel._p = None if pred is None else {b: m for b, m in pred.items() if m}
         return rel
+
+    @classmethod
+    def from_pred_masks(cls, preds) -> "Relation":
+        """The relation with a -> b iff bit a of preds[b] is set."""
+        return cls._of(None, preds)
+
+    @property
+    def _succ(self):
+        if self._s is None:
+            self._s = _transpose(self._p)
+        return self._s
+
+    @property
+    def _pred(self):
+        if self._p is None:
+            self._p = _transpose(self._s)
+        return self._p
+
+    def _rows(self):
+        """Whichever map is stored."""
+        return self._s if self._s is not None else self._p
 
     @property
     def edges(self):
@@ -150,7 +189,9 @@ class Relation:
                          for b in _bits(m))
 
     def has(self, a, b):
-        return bool(self._succ.get(a, 0) >> b & 1)
+        if self._s is not None:
+            return bool(self._s.get(a, 0) >> b & 1)
+        return bool(self._p.get(b, 0) >> a & 1)
 
     def succ(self, a):
         return frozenset(_bits(self._succ.get(a, 0)))
@@ -158,27 +199,48 @@ class Relation:
     def pred(self, a):
         return frozenset(_bits(self._pred.get(a, 0)))
 
+    def pred_mask(self, b) -> int:
+        """The predecessors of b as a bitmask."""
+        return self._pred.get(b, 0)
+
+    def preds_in(self, b, seq) -> tuple:
+        """The predecessors of b in the order seq lists them."""
+        bits = bin(self._pred.get(b, 0))[:1:-1]    # bits[a] == "1" iff a -> b
+        n = len(bits)
+        return tuple(x for x in seq if x < n and bits[x] == "1")
+
     def union(self, other: "Relation") -> "Relation":
-        return Relation._of(_or(self._succ, other._succ),
-                            _or(self._pred, other._pred))
+        """Unites the sides both relations store (predecessors if none)."""
+        succ = pred = None
+        if self._s is not None and other._s is not None:
+            succ = _or(self._s, other._s)
+        if self._p is not None and other._p is not None or succ is None:
+            pred = _or(self._pred, other._pred)
+        return Relation._of(succ, pred)
 
     def nodes(self):
-        return set(self._succ) | set(self._pred)
+        if self._s is not None and self._p is not None:
+            return set(self._s) | set(self._p)
+        rows = self._rows()
+        return set(rows) | set(_bits(reduce(or_, rows.values(), 0)))
 
     def induced(self, ids) -> "Relation":
         """The edges with both ends in ids: one mask AND per node."""
-        keep = 0
-        for i in ids:
-            keep |= 1 << i
-        return Relation._of(
-            {a: m & keep for a, m in self._succ.items() if keep >> a & 1},
-            {b: m & keep for b, m in self._pred.items() if keep >> b & 1})
+        keep = id_mask(ids)
+
+        def cut(rows):
+            if rows is None:
+                return None
+            return {a: m & keep for a, m in rows.items() if keep >> a & 1}
+        return Relation._of(cut(self._s), cut(self._p))
 
     def transitive_closure(self) -> "Relation":
-        return Relation._of(_warshall(self._succ), _warshall(self._pred))
+        """The closure's successor side; its predecessors are derived only
+        if something reads them."""
+        return Relation._of(_warshall(self._succ), None)
 
     def __len__(self):
-        return sum(m.bit_count() for m in self._succ.values())
+        return sum(m.bit_count() for m in self._rows().values())
 
     def __eq__(self, other):
         return isinstance(other, Relation) and self._succ == other._succ
@@ -222,6 +284,65 @@ def find_cycle(rel: Relation):
             on_path |= low
             untried.append(rel._succ.get(m, 0))
     return None
+
+
+def on_cycle(rel: Relation, ids) -> bool:
+    """True iff some id of ids lies on a cycle of rel (reaches itself through
+    rel+).
+
+    One iterative pass of Tarjan's strongly connected components algorithm
+    from the ids, over predecessor masks (a graph and its inverse have the
+    same components).  Each id is entered once.  Its lowlink is a position
+    on Tarjan's stack; the lowest position among the ids a mask names is
+    found by bisecting the stack's prefix masks.  Edges to ids still on the
+    stack are read when an id finishes, which yields the same roots as
+    reading them one at a time.
+    """
+    adj = rel._pred
+    targets = id_mask(ids)
+    visited = 0
+    stack = []      # Tarjan's stack
+    prefix = [0]    # prefix[i]: the mask of stack[:i]
+    for root in _bits(targets):
+        if visited >> root & 1:
+            continue
+        visited |= 1 << root
+        work = [[root, adj.get(root, 0), len(stack), len(stack)]]
+        stack.append(root)      # a frame: id, untried, low, position
+        prefix.append(prefix[-1] | 1 << root)
+        while work:
+            frame = work[-1]
+            v, untried, low, pos = frame
+            rest = untried & ~visited
+            if rest:
+                bit = rest & -rest
+                frame[1] = rest ^ bit
+                visited |= bit
+                w = bit.bit_length() - 1
+                work.append([w, adj.get(w, 0), len(stack), len(stack)])
+                stack.append(w)
+                prefix.append(prefix[-1] | bit)
+                continue
+            work.pop()
+            back = adj.get(v, 0) & prefix[-1]
+            if back:
+                lo, hi = 0, len(stack) - 1
+                while lo < hi:          # first i with stack[i] in back
+                    mid = (lo + hi) // 2
+                    if prefix[mid + 1] & back:
+                        hi = mid
+                    else:
+                        lo = mid + 1
+                low = min(low, lo)
+            if low < pos:
+                work[-1][2] = min(work[-1][2], low)
+                continue
+            component = prefix[-1] ^ prefix[pos]
+            if component & targets and (component & component - 1
+                                        or back >> v & 1):
+                return True
+            del stack[pos:], prefix[pos + 1:]
+    return False
 
 
 def foldr(acc0, f: Callable, seq):
@@ -297,6 +418,11 @@ class History:
             sessions[e.client] = sessions.get(e.client, 0) | 1 << e.id
         masks = {e.id: sessions[e.client] & ~(1 << e.id) for e in self.events}
         return Relation._of(masks, masks)
+
+    @cached_property
+    def op(self):
+        """Event id -> operation label."""
+        return {e.id: e.op for e in self.events}
 
     def level_events(self, lvl):
         return [e.id for e in self.events if e.lvl == lvl]
@@ -390,7 +516,9 @@ class AbstractExecution:
     ar is kept as a sequence (the total order read off left to right); par
     maps each event to its own total order sequence.  vis must relate events
     of the history, none to itself; it is not reassigned after construction,
-    because happens_before keeps the closure it derives from it.
+    because happens_before keeps the closure it derives from it.  That
+    closure is computed only when asked for or when NCC fails: a passing NCC
+    check decides acyclicity without it.
     """
 
     def __init__(self, history: History, vis: Relation, ar, par=None):
@@ -410,14 +538,30 @@ class AbstractExecution:
         if par is None:
             par = {e.id: self.ar for e in history}
         self.par = {eid: tuple(seq) for eid, seq in par.items()}
+        ids = history.ids()
         for eid, seq in self.par.items():
             if eid not in history._by_id:
                 raise MalformedHistory("par key %r is not an event" % (eid,))
-            if sorted(seq) != history.ids():
+            if sorted(seq) != ids:
                 raise MalformedHistory("par(%d) must be a permutation" % eid)
 
     def ar_before(self, a, b):
         return self._ar_pos[a] < self._ar_pos[b]
+
+    def ar_against_vis(self, ids):
+        """For each event y of ids, in ar order: (y, the events arbitrated
+        before y that y does not see, the events y sees that are not
+        arbitrated before it), each ascending.  One running prefix mask of
+        ar replaces a set per event."""
+        want = set(ids)
+        out = []
+        before = 0
+        for y in self.ar:
+            if y in want:
+                seen = self.vis.pred_mask(y)
+                out.append((y, _bits(before & ~seen), _bits(seen & ~before)))
+            before |= 1 << y
+        return out
 
     def restrict(self, ids):
         """Induced sub-execution over the given ids (re-identified densely)."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .model import (AbstractExecution, Relation, find_cycle, happens_before,
-                    session_order)
+                    on_cycle, session_order)
 from .rdt import RdtSpec, context_of, fcontext_of
 
 HOLDS = "holds"
@@ -82,13 +82,18 @@ def check_EV(a: AbstractExecution, l: str, hz: HorizonConfig) -> PredicateReport
 
 
 def check_NCC(a: AbstractExecution, l: str) -> PredicateReport:
-    """acyclic(hb n (L x L)): no causal cycle among level-l events."""
-    cycle = find_cycle(happens_before(a).induced(a.history.level_events(l)))
-    if cycle is None:
+    """acyclic(hb n (L x L)): no causal cycle among level-l events.
+
+    hb n (L x L) is cyclic iff some level-l event lies on a cycle of
+    so u vis, which one strongly-connected-components pass decides; the
+    closure hb is computed only to report a violation."""
+    L = a.history.level_events(l)
+    base = session_order(a.history).union(a.vis)
+    if not on_cycle(base, L):
         return PredicateReport("NCC", l, HOLDS)
+    cycle = find_cycle(happens_before(a).induced(L))
     # expand to a path through the underlying so u vis edges so the
     # counterexample can be replayed on the induced sub-execution
-    base = session_order(a.history).union(a.vis)
     support = set(cycle)
     for x, y in zip(cycle, cycle[1:]):
         support |= _path_nodes(base, x, y)
@@ -146,9 +151,8 @@ def check_CPar(a: AbstractExecution, l: str, hz: HorizonConfig) -> PredicateRepo
     event it observes exactly as the final arbitration does."""
     bad = []
     for e2 in _tail_events(a, l, hz):
-        carrier = a.vis.pred(e2)
-        by_ar = [x for x in a.ar if x in carrier]
-        by_par = [x for x in a.par[e2] if x in carrier]
+        by_ar = a.vis.preds_in(e2, a.ar)
+        by_par = a.vis.preds_in(e2, a.par[e2])
         bad.extend((x, e2) for x, y in zip(by_ar, by_par) if x != y)
     if bad:
         return PredicateReport("CPar", l, VIOLATED, tuple(sorted(bad)))
@@ -158,16 +162,15 @@ def check_CPar(a: AbstractExecution, l: str, hz: HorizonConfig) -> PredicateRepo
 def check_SinOrd(a: AbstractExecution, l: str) -> PredicateReport:
     """vis into level-l events equals arbitration, modulo some set of pending
     events (resolved constructively: exactly the mismatching pending ones)."""
-    L = set(a.history.level_events(l))
+    L = a.history.level_events(l)
     pending = {e.id for e in a.history if e.rval.is_pending()}
-    invisible, unordered, overlap = [], [], []
-    for i, y in enumerate(a.ar):
-        if y in L:
-            ar_y, vis_y = set(a.ar[:i]), a.vis.pred(y)
-            invisible += [(x, y) for x in ar_y - vis_y]
-            unordered += [(x, y) for x in vis_y - ar_y]
-            overlap += [(x, y) for x in vis_y & ar_y & pending]
+    invisible, unordered = [], []
+    for y, unseen, early in a.ar_against_vis(L):
+        invisible += [(x, y) for x in unseen]
+        unordered += [(x, y) for x in early]
     excluded = {x for x, _ in invisible if x in pending}
+    overlap = [(x, y) for y in L for x in excluded
+               if a.ar_before(x, y) and a.vis.has(x, y)]
     bad = [(x, y, "completed event arbitrated before but invisible")
            for x, y in sorted(invisible) if x not in pending]
     # edges removed by E' x E must not survive in vis, and vis must not
@@ -175,7 +178,7 @@ def check_SinOrd(a: AbstractExecution, l: str) -> PredicateReport:
     bad += [(x, y, "visible but arbitrated after")
             for x, y in sorted(unordered)]
     bad += [(x, y, "pending event both excluded and visible")
-            for x, y in sorted(overlap) if x in excluded]
+            for x, y in sorted(overlap)]
     if bad:
         return PredicateReport("SinOrd", l, VIOLATED, tuple(bad))
     return PredicateReport("SinOrd", l, HOLDS,
@@ -200,8 +203,8 @@ def check_RT(a: AbstractExecution, l: str) -> PredicateReport:
     L = set(a.history.level_events(l))
     if not L:
         return PredicateReport("RT", l, VACUOUS)
-    rb = a.history.rb
-    bad = [(x, y) for x in sorted(L) for y in sorted(rb.succ(x) & L)
+    rb = a.history.rb.induced(L)
+    bad = [(x, y) for x in sorted(L) for y in sorted(rb.succ(x))
            if not a.ar_before(x, y)]
     if bad:
         return PredicateReport("RT", l, VIOLATED, tuple(bad))

@@ -2,9 +2,9 @@
 
 Implements the sequence, multi-value register, and non-negative counter
 types plus context extraction from abstract executions.  Evaluation is pure
-and isomorphism-invariant: a context carries only event ids, labels, the
-visibility relation (read only between carrier events), and a total order
-over the carrier.
+and isomorphism-invariant: a context carries only the carrier's event ids in
+a total order, their labels, and the visibility relation (read only between
+carrier events).
 """
 
 from __future__ import annotations
@@ -26,31 +26,20 @@ class MissingPar(KeyError):
 
 @dataclass(frozen=True)
 class OperationContext:
-    """(carrier, op labels, vis, total order over the carrier)."""
+    """(carrier, op labels, vis, total order over the carrier), held as the
+    carrier in that order, its labels and vis."""
 
-    carrier: frozenset
-    ops: tuple  # tuple of (EventId, OperationLabel), sorted by id
+    order: tuple  # the carrier, ascending by ar or par(e)
+    labels: tuple  # labels[i] is the label of order[i]
     vis: Relation  # read only on pairs of carrier events
-    order: tuple  # carrier arranged ascending by ar or par(e)
-
-    def label(self, eid) -> OperationLabel:
-        for i, lab in self.ops:
-            if i == eid:
-                return lab
-        raise UnknownEvent(eid)
-
-    def ordered_labels(self):
-        labels = dict(self.ops)
-        return [labels[e] for e in self.order]
 
 
 def _make_context(a: AbstractExecution, e: EventId, order_seq) -> OperationContext:
     if e not in a.history._by_id:
         raise UnknownEvent(e)
-    carrier = frozenset(a.vis.pred(e))
-    ops = tuple(sorted((i, a.history.event(i).op) for i in carrier))
-    order = tuple(x for x in order_seq if x in carrier)
-    return OperationContext(carrier, ops, a.vis, order)
+    order = a.vis.preds_in(e, order_seq)
+    return OperationContext(order, tuple(map(a.history.op.__getitem__, order)),
+                            a.vis)
 
 
 def context_of(a: AbstractExecution, e: EventId) -> OperationContext:
@@ -69,7 +58,7 @@ def eval_fseq(op: OperationLabel, c: OperationContext) -> ReturnValue:
     if op.name == "append":
         return OK
     if op.name == "read":
-        parts = [lab.args[0] for lab in c.ordered_labels() if lab.name == "append"]
+        parts = [lab.args[0] for lab in c.labels if lab.name == "append"]
         return rv_str("".join(parts))
     raise BadOperation(op.name)
 
@@ -78,13 +67,11 @@ def eval_fmvr(op: OperationLabel, c: OperationContext) -> ReturnValue:
     if op.name == "write":
         return OK
     if op.name == "read":
-        writes = [i for i, lab in c.ops if lab.name == "write"]
-        maximal = []
-        for w in writes:
-            dominated = any(c.vis.has(w, w2) for w2 in writes if w2 != w)
-            if not dominated:
-                maximal.append(w)
-        return rv_set(c.label(w).args[0] for w in maximal)
+        writes = [(i, lab) for i, lab in zip(c.order, c.labels)
+                  if lab.name == "write"]
+        return rv_set(lab.args[0] for w, lab in writes
+                      if not any(c.vis.has(w, w2) for w2, _ in writes
+                                 if w2 != w))
     raise BadOperation(op.name)
 
 
@@ -102,7 +89,7 @@ def f_nnc(acc, lab: OperationLabel):
 def eval_fnnc(op: OperationLabel, c: OperationContext) -> ReturnValue:
     if op.name == "add":
         return OK
-    total = foldr(0, f_nnc, c.ordered_labels())
+    total = foldr(0, f_nnc, c.labels)
     if op.name == "get":
         return rv_int(total)
     if op.name == "subtract":
@@ -114,7 +101,6 @@ def eval_fnnc(op: OperationLabel, c: OperationContext) -> ReturnValue:
 class RdtSpec:
     name: str
     ops: frozenset
-    readonly_ops: frozenset
     _eval: object = field(repr=False, default=None)
 
     def evaluate(self, op: OperationLabel, c: OperationContext) -> ReturnValue:
@@ -123,10 +109,9 @@ class RdtSpec:
         return self._eval(op, c)
 
 
-F_SEQ = RdtSpec("f_seq", frozenset({"append", "read"}), frozenset({"read"}), eval_fseq)
-F_MVR = RdtSpec("f_mvr", frozenset({"write", "read"}), frozenset({"read"}), eval_fmvr)
-F_NNC = RdtSpec("f_nnc", frozenset({"add", "subtract", "get"}),
-                frozenset({"get"}), eval_fnnc)
+F_SEQ = RdtSpec("f_seq", frozenset({"append", "read"}), eval_fseq)
+F_MVR = RdtSpec("f_mvr", frozenset({"write", "read"}), eval_fmvr)
+F_NNC = RdtSpec("f_nnc", frozenset({"add", "subtract", "get"}), eval_fnnc)
 
 RDTS = {s.name: s for s in (F_SEQ, F_MVR, F_NNC)}
 

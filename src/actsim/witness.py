@@ -5,36 +5,75 @@ Each protocol comes with a recipe that reads the recorded trace metadata
 produces an abstract execution that the predicate checkers can then judge.
 A small brute-force searcher doubles as an oracle on tiny histories and as
 the unsatisfiability prover for mixed-level excerpts.
+
+The builders slot local events (reads) into the shared order after the last
+anchor they do not return before.  That search bisects instead of scanning:
+rb is an interval order (Fishburn, "Intransitive indifference with unequal
+indifference intervals", J. Math. Psych. 1970), g ->rb b iff g returned
+before b was invoked, so the anchors g does not return before are exactly
+those invoked at or before g's return.  Visibility is built as one
+predecessor mask per event, from snapshot bits, rb predecessor masks and
+running prefix masks along an order, never as a set of pairs.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress
+from math import inf
 from typing import Optional
 
-from .model import (AbstractExecution, History, Relation, STRONG, WEAK,
+from .model import (AbstractExecution, History, Relation, STRONG, id_mask,
                     is_acyclic)
 from .predicates import HorizonConfig, check_composite
-from .rdt import RdtSpec
+from .rdt import OperationContext, RdtSpec
 from .simnet import ProtocolTrace
 
 
-def _insert_after_anchor(base, rb, locals_, is_anchor):
-    """Interleave locals into base: each local goes after the last base
-    element satisfying is_anchor that it does not return-before."""
-    anchored = {None: []}
-    for b in base:
-        anchored[b] = []
-    anchors = [b for b in base if is_anchor(b)]
-    for g in sorted(locals_):
-        anchor = next((b for b in reversed(anchors) if not rb.has(g, b)), None)
-        anchored[anchor].append(g)
-    out = list(anchored[None])
-    for b in base:
-        out.append(b)
-        out.extend(anchored[b])
+def _insert_after_anchor(base, invoked, locals_):
+    """Interleave locals into base: each local goes after the last anchor
+    invoked at or before the local returned (after the last anchor when the
+    local is pending), or first when there is none.
+
+    invoked maps each anchor of base to its invoke time; locals_ is a list
+    of (id, return time), ascending by id, as `_returns` gives it.  The last
+    anchor invoked by time t is found by bisecting the suffix minima of the
+    anchors' invoke times, which never decrease along base.
+    """
+    at = list(compress(range(len(base)), map(invoked.__contains__, base)))
+    lowest, m = [], inf     # lowest[k]: the earliest invoke among at[k:]
+    for i in reversed(at):
+        t = invoked[base[i]]
+        if t < m:
+            m = t
+        lowest.append(m)
+    lowest.reverse()
+    after = {}      # base position -> the locals placed right after it
+    for g, ret in locals_:
+        j = bisect_right(lowest, ret)
+        after.setdefault(at[j - 1] if j else -1, []).append(g)
+    out, start = [], 0
+    for pos in sorted(after):
+        out += base[start:pos + 1]
+        out += after[pos]
+        start = pos + 1
+    out += base[start:]
     return out
+
+
+def _returns(history, ids):
+    """(id, return time) for each of ids, ascending by id; a pending event
+    returns at inf, after every invoke."""
+    ends = ((e, history.event(e).return_ts) for e in sorted(ids))
+    return [(e, inf if ret is None else ret) for e, ret in ends]
+
+
+def _without(preds, drop):
+    """preds with the events of drop removed from both ends."""
+    keep = ~id_mask(drop)
+    return {e: 0 if e in drop else m & keep for e, m in preds.items()}
 
 
 def build_nnc_witness(history: History, trace: ProtocolTrace,
@@ -51,45 +90,42 @@ def build_nnc_witness(history: History, trace: ProtocolTrace,
     undelivered = sorted((recs[e].req_dot, e) for e in updaters
                          if recs[e].tobno is None)
     base = [e for _, e in delivered] + [e for _, e in undelivered]
+    invoked = {e: history.event(e).invoke_ts for e in updaters
+               if names[e] == "subtract"
+               and (mode != "async" or not recs[e].pending)}
+    ar = _insert_after_anchor(base, invoked, _returns(history, gets))
 
-    def is_anchor(e):
-        rec = recs[e]
-        return (names[e] == "subtract"
-                and (mode != "async" or not rec.pending))
-
-    ar = _insert_after_anchor(base, rb, gets, is_anchor)
-
-    pending_subs = {e for e in updaters
-                    if names[e] == "subtract" and recs[e].pending}
-    edges = set()
+    updater_mask = id_mask(updaters)
+    add_mask = id_mask(e for e in updaters if names[e] == "add")
+    get_mask = id_mask(gets)
+    preds = dict.fromkeys(names, 0)     # vis as predecessor masks
     # a subtract sees every update delivered before it in the total order,
     # and every get arbitrated before it
-    earlier = []
+    earlier = 0
     for _, e2 in delivered:
         if names[e2] == "subtract":
-            edges.update((e, e2) for e in earlier)
-        earlier.append(e2)
-    earlier = []
+            preds[e2] |= earlier
+        earlier |= 1 << e2
+    earlier = 0
     for e2 in ar:
         if names[e2] == "get":
-            earlier.append(e2)
+            earlier |= 1 << e2
         elif names[e2] == "subtract":
-            edges.update((e, e2) for e in earlier)
+            preds[e2] |= earlier
     # a get sees the updates its replica delivered and the gets that
     # returned before it; an add sees everything that returned before it
     for e2, name in names.items():
         if name == "get":
             rec = recs[e2]
-            edges.update((e, e2) for e in rec.tobdel
-                         if names[e] in ("add", "subtract"))
-            edges.update((e, e2) for e in rec.rbdel if names[e] == "add")
-            edges.update((e, e2) for e in rb.pred(e2) if names[e] == "get")
+            preds[e2] |= (id_mask(rec.tobdel) & updater_mask
+                          | id_mask(rec.rbdel) & add_mask
+                          | rb.pred_mask(e2) & get_mask)
         elif name == "add":
-            edges.update((e, e2) for e in rb.pred(e2))
+            preds[e2] |= rb.pred_mask(e2)
     if mode == "async":
-        edges = {(x, y) for x, y in edges
-                 if x not in pending_subs and y not in pending_subs}
-    return AbstractExecution(history, Relation(edges), ar)
+        preds = _without(preds, {e for e in updaters if names[e] == "subtract"
+                                 and recs[e].pending})
+    return AbstractExecution(history, Relation.from_pred_masks(preds), ar)
 
 
 def build_log_witness(history: History, trace: ProtocolTrace,
@@ -98,8 +134,9 @@ def build_log_witness(history: History, trace: ProtocolTrace,
     perceive their own tentative snapshot first."""
     rb = history.rb
     recs = trace.events
-    shared = [e for e in history.ids() if recs[e].req_dot is not None]
-    locals_ = [e for e in history.ids() if recs[e].req_dot is None]
+    ids = history.ids()
+    shared = [e for e in ids if recs[e].req_dot is not None]
+    locals_ = [e for e in ids if recs[e].req_dot is None]
     strong = {e for e in shared if history.event(e).lvl == STRONG}
     pending_strong = {e for e in strong if recs[e].pending}
 
@@ -110,45 +147,43 @@ def build_log_witness(history: History, trace: ProtocolTrace,
         for e in shared if recs[e].tobno is None and e not in strong)
     base = ([e for _, e in committed] + [e for _, e in uncommitted_weak]
             + sorted(pending_strong - {e for _, e in committed}))
+    invoked = {e: history.event(e).invoke_ts for e in shared
+               if not recs[e].pending}
+    returns = _returns(history, locals_)
+    ar = _insert_after_anchor(base, invoked, returns)
 
-    def is_anchor(e):
-        return not recs[e].pending
-
-    ar = _insert_after_anchor(base, rb, locals_, is_anchor)
-
-    snapshot = {e: set(recs[e].trace_snapshot or ()) for e in history.ids()}
-    edges = set()
-    for e2 in history.ids():
-        for e in snapshot[e2]:
-            if e != e2:
-                edges.add((e, e2))          # e's request was in e2's state
-    ar_pos = {e: i for i, e in enumerate(ar)}
+    # vis as predecessor masks: e's request was in e2's state; locals see
+    # the locals that returned before them; shared events see the locals
+    # arbitrated before them
+    local_mask = id_mask(locals_)
+    preds = {e2: id_mask(recs[e2].trace_snapshot or ()) & ~(1 << e2)
+             for e2 in ids}
     for g in locals_:
-        for g2 in locals_:
-            if g != g2 and rb.has(g, g2):
-                edges.add((g, g2))
-        for s in shared:
-            if ar_pos[g] < ar_pos[s]:
-                edges.add((g, s))
+        preds[g] |= rb.pred_mask(g) & local_mask
+    earlier = 0
+    for e in ar:
+        if local_mask >> e & 1:
+            earlier |= 1 << e
+        else:
+            preds[e] |= earlier
     if mode == "async":
-        edges = {(x, y) for x, y in edges
-                 if x not in pending_strong and y not in pending_strong}
+        preds = _without(preds, pending_strong)
 
     # weak events perceive: their snapshot in tentative order, then the rest
     # of the shared events in final order, with locals slotted in by the
     # same overlap rule
     par = {}
-    shared_set = set(shared)
-    shared_in_ar = [e for e in ar if e in shared_set]
-    for e in history.ids():
+    shared_in_ar = [e for e in ar if not local_mask >> e & 1]
+    for e in ids:
         if e in strong:
             par[e] = tuple(ar)
             continue
         seen = dict.fromkeys(recs[e].trace_snapshot or ())
         rest = [x for x in shared_in_ar if x not in seen]
-        par[e] = tuple(_insert_after_anchor(list(seen) + rest, rb, locals_,
-                                            is_anchor))
-    return AbstractExecution(history, Relation(edges), ar, par)
+        par[e] = tuple(_insert_after_anchor(list(seen) + rest, invoked,
+                                            returns))
+    return AbstractExecution(history, Relation.from_pred_masks(preds), ar,
+                             par)
 
 
 def build_causal_witness(history: History, trace: ProtocolTrace,
@@ -250,9 +285,8 @@ def brute_force_witness(history: History, target: str, level: str,
                 if constrained:
                     kept = []
                     for carrier in options:
-                        labels = [history.event(x).op
-                                  for x in ar if x in carrier]
-                        got = _eval_ordered(spec, ev.op, carrier, labels, ar)
+                        order = tuple(x for x in ar if x in carrier)
+                        got = _eval_ordered(spec, ev.op, order, history)
                         if got == ev.rval:
                             kept.append(carrier)
                     options = kept
@@ -277,10 +311,8 @@ def brute_force_witness(history: History, target: str, level: str,
     return BruteResult(None, ars_tried, candidates)
 
 
-def _eval_ordered(spec, op, carrier, labels, ar):
-    from .rdt import OperationContext
-    ops = tuple(sorted((x, lab) for x, lab in
-                       zip([x for x in ar if x in carrier], labels)))
-    ctx = OperationContext(frozenset(carrier), ops, Relation(),
-                           tuple(x for x in ar if x in carrier))
-    return spec.evaluate(op, ctx)
+def _eval_ordered(spec, op, order, history):
+    """F(op) over a context of the events of order, in that order, with no
+    visibility among them."""
+    labels = tuple(map(history.op.__getitem__, order))
+    return spec.evaluate(op, OperationContext(order, labels, Relation()))

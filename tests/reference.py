@@ -1,0 +1,160 @@
+"""Reference implementations the checker and the witness builders are
+compared with: the pair-set witness builders with their linear anchor scan,
+the closure-based NCC check and the set-based SinOrd check, as they were
+before the builders moved to bisection and masks and NCC to one strongly
+connected components pass."""
+
+from actsim.model import (STRONG, AbstractExecution, Relation, find_cycle,
+                          session_order)
+from actsim.predicates import HOLDS, VIOLATED, PredicateReport, _path_nodes
+
+
+def insert_after_anchor(base, rb, locals_, is_anchor):
+    """Interleave locals into base: each local goes after the last base
+    element satisfying is_anchor that it does not return-before."""
+    anchored = {None: []}
+    for b in base:
+        anchored[b] = []
+    anchors = [b for b in base if is_anchor(b)]
+    for g in sorted(locals_):
+        anchor = next((b for b in reversed(anchors) if not rb.has(g, b)), None)
+        anchored[anchor].append(g)
+    out = list(anchored[None])
+    for b in base:
+        out.append(b)
+        out.extend(anchored[b])
+    return out
+
+
+def build_nnc_witness(history, trace, mode="stable"):
+    rb = history.rb
+    recs = trace.events
+    names = {e.id: e.op.name for e in history}
+    updaters = [e for e, name in names.items() if name in ("add", "subtract")]
+    gets = [e for e, name in names.items() if name == "get"]
+    delivered = sorted((recs[e].tobno, e) for e in updaters
+                       if recs[e].tobno is not None)
+    undelivered = sorted((recs[e].req_dot, e) for e in updaters
+                         if recs[e].tobno is None)
+    base = [e for _, e in delivered] + [e for _, e in undelivered]
+
+    def is_anchor(e):
+        return (names[e] == "subtract"
+                and (mode != "async" or not recs[e].pending))
+
+    ar = insert_after_anchor(base, rb, gets, is_anchor)
+    pending_subs = {e for e in updaters
+                    if names[e] == "subtract" and recs[e].pending}
+    edges = set()
+    earlier = []
+    for _, e2 in delivered:
+        if names[e2] == "subtract":
+            edges.update((e, e2) for e in earlier)
+        earlier.append(e2)
+    earlier = []
+    for e2 in ar:
+        if names[e2] == "get":
+            earlier.append(e2)
+        elif names[e2] == "subtract":
+            edges.update((e, e2) for e in earlier)
+    for e2, name in names.items():
+        if name == "get":
+            rec = recs[e2]
+            edges.update((e, e2) for e in rec.tobdel
+                         if names[e] in ("add", "subtract"))
+            edges.update((e, e2) for e in rec.rbdel if names[e] == "add")
+            edges.update((e, e2) for e in rb.pred(e2) if names[e] == "get")
+        elif name == "add":
+            edges.update((e, e2) for e in rb.pred(e2))
+    if mode == "async":
+        edges = {(x, y) for x, y in edges
+                 if x not in pending_subs and y not in pending_subs}
+    return AbstractExecution(history, Relation(edges), ar)
+
+
+def build_log_witness(history, trace, mode="stable"):
+    rb = history.rb
+    recs = trace.events
+    shared = [e for e in history.ids() if recs[e].req_dot is not None]
+    locals_ = [e for e in history.ids() if recs[e].req_dot is None]
+    strong = {e for e in shared if history.event(e).lvl == STRONG}
+    pending_strong = {e for e in strong if recs[e].pending}
+    committed = sorted((recs[e].tobno, e) for e in shared
+                       if recs[e].tobno is not None)
+    uncommitted_weak = sorted(
+        ((history.event(e).invoke_ts, recs[e].req_dot), e)
+        for e in shared if recs[e].tobno is None and e not in strong)
+    base = ([e for _, e in committed] + [e for _, e in uncommitted_weak]
+            + sorted(pending_strong - {e for _, e in committed}))
+
+    def is_anchor(e):
+        return not recs[e].pending
+
+    ar = insert_after_anchor(base, rb, locals_, is_anchor)
+    snapshot = {e: set(recs[e].trace_snapshot or ()) for e in history.ids()}
+    edges = set()
+    for e2 in history.ids():
+        for e in snapshot[e2]:
+            if e != e2:
+                edges.add((e, e2))
+    ar_pos = {e: i for i, e in enumerate(ar)}
+    for g in locals_:
+        for g2 in locals_:
+            if g != g2 and rb.has(g, g2):
+                edges.add((g, g2))
+        for s in shared:
+            if ar_pos[g] < ar_pos[s]:
+                edges.add((g, s))
+    if mode == "async":
+        edges = {(x, y) for x, y in edges
+                 if x not in pending_strong and y not in pending_strong}
+    par = {}
+    shared_set = set(shared)
+    shared_in_ar = [e for e in ar if e in shared_set]
+    for e in history.ids():
+        if e in strong:
+            par[e] = tuple(ar)
+            continue
+        seen = dict.fromkeys(recs[e].trace_snapshot or ())
+        rest = [x for x in shared_in_ar if x not in seen]
+        par[e] = tuple(insert_after_anchor(list(seen) + rest, rb, locals_,
+                                           is_anchor))
+    return AbstractExecution(history, Relation(edges), ar, par)
+
+
+def check_NCC(a, l):
+    """acyclic(hb n (L x L)), deciding by the closure hb itself."""
+    base = session_order(a.history).union(a.vis)
+    hb = base.transitive_closure()
+    cycle = find_cycle(hb.induced(a.history.level_events(l)))
+    if cycle is None:
+        return PredicateReport("NCC", l, HOLDS)
+    support = set(cycle)
+    for x, y in zip(cycle, cycle[1:]):
+        support |= _path_nodes(base, x, y)
+    return PredicateReport("NCC", l, VIOLATED,
+                           (tuple(cycle[:-1]), tuple(sorted(support))))
+
+
+def check_SinOrd(a, l):
+    """SinOrd with one set of ar predecessors per level-l event."""
+    L = set(a.history.level_events(l))
+    pending = {e.id for e in a.history if e.rval.is_pending()}
+    invisible, unordered, overlap = [], [], []
+    for i, y in enumerate(a.ar):
+        if y in L:
+            ar_y, vis_y = set(a.ar[:i]), a.vis.pred(y)
+            invisible += [(x, y) for x in ar_y - vis_y]
+            unordered += [(x, y) for x in vis_y - ar_y]
+            overlap += [(x, y) for x in vis_y & ar_y & pending]
+    excluded = {x for x, _ in invisible if x in pending}
+    bad = [(x, y, "completed event arbitrated before but invisible")
+           for x, y in sorted(invisible) if x not in pending]
+    bad += [(x, y, "visible but arbitrated after")
+            for x, y in sorted(unordered)]
+    bad += [(x, y, "pending event both excluded and visible")
+            for x, y in sorted(overlap) if x in excluded]
+    if bad:
+        return PredicateReport("SinOrd", l, VIOLATED, tuple(bad))
+    return PredicateReport("SinOrd", l, HOLDS,
+                           (tuple(sorted(excluded)),) if excluded else ())

@@ -3,6 +3,7 @@ tests, and the tiny counter runs on which the witness builder is compared
 with exhaustive search."""
 
 import random
+from dataclasses import replace
 
 from actsim.harness import history_of, inject_probes
 from actsim.model import OperationLabel as op, STRONG, WEAK
@@ -54,16 +55,19 @@ def random_counter_run(seed, max_events=8, n_replicas=3, probe_count=3,
     return history, world.trace, a, hz, mode
 
 
-def random_log_run(seed, max_events=8):
+def random_log_run(seed, max_events=8, mode="stable", events=None):
+    """A seeded random tentative-log workload of `events` invokes (drawn up
+    to max_events when None); in async mode total-order delivery stops at a
+    random step, so some strong events stay pending.  Returns (history,
+    trace, witness, horizon)."""
     rng = random.Random(seed)
     schedule = Schedule(seed=seed, rb_delay=rng.randint(1, 5),
                         tob_delay=rng.randint(3, 8),
                         jitter=rng.randint(0, 2),
                         clock_skew=((0, rng.randint(0, 12)),))
-    n = rng.randint(1, max_events)
+    n = events or rng.randint(1, max_events)
     workload = []
     step = 0
-    letters = "abcdefgh"
     for i in range(n):
         step += rng.randint(1, 8)
         kind = rng.choice(["append", "append", "read", "sread"])
@@ -71,18 +75,20 @@ def random_log_run(seed, max_events=8):
         if kind == "append":
             lvl = rng.choice([WEAK, WEAK, STRONG])
             workload.append(Invoke(step, "c%d" % i, rid,
-                                   op("append", (letters[i],)), lvl))
+                                   op("append", (chr(97 + i % 26),)), lvl))
         elif kind == "read":
             workload.append(Invoke(step, "c%d" % i, rid, op("read"), WEAK))
         else:
             workload.append(Invoke(step, "c%d" % i, rid, op("read"), STRONG))
+    if mode == "async":
+        schedule = replace(schedule, tob_cutoff=rng.randint(10, step + 10))
     world = SimWorld([MixedLogReplica(0), MixedLogReplica(1)], schedule,
-                     workload, mode="stable", protocol="log")
+                     workload, mode=mode, protocol="log")
     world.run_to_quiescence()
     stab = inject_probes(world, op("read"), WEAK)
     history = history_of(world.trace)
     hz = HorizonConfig(stab)
-    a = build_log_witness(history, world.trace, "stable")
+    a = build_log_witness(history, world.trace, mode)
     return history, world.trace, a, hz
 
 

@@ -1,0 +1,183 @@
+"""The witness builders and the checker against their reference versions
+(tests/reference.py), and counts showing the closure and the anchor scan
+are gone from the passing path."""
+
+import random
+
+import pytest
+
+import reference
+from actsim import model, witness
+from actsim.harness import SCENARIOS, run_scenario
+from actsim.model import (AbstractExecution, Event, History, OK,
+                          OperationLabel, Relation, STRONG, WEAK)
+from actsim.predicates import PREDICATES, check_NCC, check_composite
+from actsim.rdt import F_NNC, F_SEQ
+from runs import random_counter_run, random_log_run
+
+SEEDS = range(30)
+
+
+def runs_with_witnesses():
+    """(label, history, trace, builder, reference builder, mode, rdt, hz):
+    random counter runs (a third of them asynchronous, with pending
+    subtracts) and random log runs simulated stable and async, each
+    witness built in both modes."""
+    for seed in SEEDS:
+        h, trace, _, hz, _ = random_counter_run(seed, max_events=16)
+        for mode in ("stable", "async"):
+            yield (("counter", seed, mode), h, trace, witness.build_nnc_witness,
+                   reference.build_nnc_witness, mode, F_NNC, hz)
+        for sim_mode in ("stable", "async"):
+            h, trace, _, hz = random_log_run(seed, max_events=16,
+                                             mode=sim_mode)
+            for mode in ("stable", "async"):
+                yield (("log", seed, sim_mode, mode), h, trace,
+                       witness.build_log_witness, reference.build_log_witness,
+                       mode, F_SEQ, hz)
+
+
+def with_extra_edges(a, rng, k=3):
+    ids = a.history.ids()
+    extra = set()
+    while len(ids) > 1 and len(extra) < k:
+        extra.add(tuple(rng.sample(ids, 2)))
+    return AbstractExecution(a.history, Relation(a.vis.edges | extra), a.ar,
+                             a.par)
+
+
+def reference_reports(a, spec, hz, monkeypatch):
+    """Every level's NCC and BEC/FEC/Lin report, with NCC and SinOrd taken
+    from the references."""
+    with monkeypatch.context() as m:
+        m.setitem(PREDICATES, "NCC",
+                  lambda a, l, spec, hz: reference.check_NCC(a, l))
+        m.setitem(PREDICATES, "SinOrd",
+                  lambda a, l, spec, hz: reference.check_SinOrd(a, l))
+        return reports(a, spec, hz)
+
+
+def reports(a, spec, hz):
+    out = []
+    for l in (WEAK, STRONG):
+        out.append(PREDICATES["NCC"](a, l, spec, hz).to_json())
+        out += [check_composite(a, c, l, spec, hz).to_json()
+                for c in ("BEC", "FEC", "Lin")]
+    return out
+
+
+def test_witnesses_match_the_pair_set_builders():
+    pending = 0
+    for label, h, trace, build, ref, mode, _, _ in runs_with_witnesses():
+        a, b = build(h, trace, mode), ref(h, trace, mode)
+        assert a.ar == b.ar, label
+        assert a.par == b.par, label
+        assert a.vis == b.vis, label
+        pending += sum(1 for e in h if e.rval.is_pending())
+    assert pending > 0
+
+
+def test_reports_match_the_closure_based_checks(monkeypatch):
+    rng = random.Random(0)
+    violated = 0
+    for label, h, trace, build, _, mode, spec, hz in runs_with_witnesses():
+        a = build(h, trace, mode)
+        for x in (a, with_extra_edges(a, rng)):
+            got = reports(x, spec, hz)
+            fresh = AbstractExecution(x.history, x.vis, x.ar, x.par)
+            assert got == reference_reports(fresh, spec, hz, monkeypatch), \
+                label
+            violated += sum(r["verdict"] == "violated" for r in got[::4])
+    assert violated > 0     # some extra edges close a causal cycle
+
+
+def two_level_history():
+    """Events 0, 1 weak, 2, 3 strong, one client each."""
+    return History([
+        Event(0, OperationLabel("add", (1,)), OK, WEAK, "a", 0, 1),
+        Event(1, OperationLabel("add", (1,)), OK, WEAK, "b", 0, 1),
+        Event(2, OperationLabel("subtract", (1,)), OK, STRONG, "c", 0, 1),
+        Event(3, OperationLabel("subtract", (1,)), OK, STRONG, "d", 0, 1),
+    ])
+
+
+def test_NCC_holds_when_the_only_cycle_avoids_the_level():
+    h = two_level_history()
+    # 0 <-> 1 is a cycle of weak events; the strong events only see it
+    a = AbstractExecution(h, Relation([(0, 1), (1, 0), (1, 2), (2, 3)]),
+                          [0, 1, 2, 3])
+    assert check_NCC(a, STRONG).verdict == "holds"
+    assert check_NCC(a, STRONG) == reference.check_NCC(a, STRONG)
+    assert check_NCC(a, WEAK).verdict == "violated"
+
+
+def test_NCC_cycle_through_the_level_matches_the_reference():
+    h = two_level_history()
+    # 3 -> 0 -> 1 -> 2 -> 3 passes through the weak events 0 and 1
+    vis = Relation([(3, 0), (0, 1), (1, 2), (2, 3)])
+    a = AbstractExecution(h, vis, [0, 1, 2, 3])
+    for level in (WEAK, STRONG):
+        got = check_NCC(a, level)
+        assert got.verdict == "violated"
+        assert got.to_json() == reference.check_NCC(a, level).to_json()
+    assert check_NCC(a, WEAK).counterexample == ((0,), (0, 1, 2, 3))
+
+
+@pytest.fixture
+def closures(monkeypatch):
+    """Counts the transitive closures taken."""
+    calls = []
+    warshall = model._warshall
+    monkeypatch.setattr(model, "_warshall",
+                        lambda rows: calls.append(1) or warshall(rows))
+    return calls
+
+
+def fresh_executions():
+    for sc in SCENARIOS.values():
+        for mode in (None, "stable", "async"):
+            art = run_scenario(sc, 0, mode)
+            for a in art.witnesses.values():
+                yield AbstractExecution(a.history, a.vis, a.ar, a.par)
+    h, trace, _, _ = random_log_run(3, events=400)
+    yield witness.build_log_witness(h, trace)
+
+
+def test_passing_NCC_takes_no_closure(closures):
+    passed = 0
+    for a in fresh_executions():
+        for level in (WEAK, STRONG):
+            before = len(closures)
+            if check_NCC(a, level).ok:
+                assert len(closures) == before
+                passed += 1
+    assert passed > 0
+
+
+def test_failing_NCC_takes_one_successor_closure(closures):
+    a = run_scenario("bayou-classic-circular").witnesses["causal"]
+    a = AbstractExecution(a.history, a.vis, a.ar, a.par)
+    closures.clear()
+    rep = check_NCC(a, WEAK)
+    assert rep.verdict == "violated"
+    assert rep.counterexample[0] == (0,)
+    assert len(closures) == 1
+
+
+def test_log_witness_looks_up_each_local_once_per_order(monkeypatch):
+    h, trace, _, _ = random_log_run(3, events=400)
+    lookups, rb_reads = [], []
+    bisect_right, has = witness.bisect_right, Relation.has
+    monkeypatch.setattr(witness, "bisect_right",
+                        lambda *args: lookups.append(1) or bisect_right(*args))
+    monkeypatch.setattr(Relation, "has", lambda self, a, b: (
+        self is h.rb and rb_reads.append(1)) or has(self, a, b))
+    a = witness.build_log_witness(h, trace)
+    local = [e for e in h if trace.events[e.id].req_dot is None]
+    returned = sum(1 for e in local if e.return_ts is not None)
+    # ar, and par(e) for every event but the shared strong ones
+    orders = 1 + sum(1 for e in h if e in local or e.lvl != STRONG)
+    assert returned > 50
+    assert len(lookups) == orders * returned
+    assert not rb_reads
+    assert len(a.history) > 400

@@ -5,8 +5,9 @@ from hypothesis import given, strategies as st
 
 from actsim.model import (AbstractExecution, Event, History, MalformedHistory,
                           OK, OperationLabel, PENDING, Relation, ReturnValue,
-                          find_cycle, foldr, happens_before, is_acyclic,
-                          rv_int, rv_set, rv_str, session_order)
+                          find_cycle, foldr, happens_before, id_mask,
+                          is_acyclic, on_cycle, rv_int, rv_set, rv_str,
+                          session_order)
 
 edges_st = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
                     max_size=25).map(Relation)
@@ -44,6 +45,22 @@ def test_find_cycle_returns_a_real_cycle(rel):
             assert rel.has(a, b)
 
 
+@given(edges_st, st.sets(st.integers(0, 7)))
+def test_on_cycle_matches_the_closure(rel, ids):
+    closure = rel.transitive_closure()
+    assert on_cycle(rel, ids) == any(closure.has(i, i) for i in ids)
+
+
+@given(edges_st)
+def test_relation_from_pred_masks_matches_its_edges(rel):
+    r = Relation.from_pred_masks({b: id_mask(rel.pred(b)) for b in range(8)})
+    assert len(r) == len(rel) and r.nodes() == rel.nodes()
+    assert all(r.has(a, b) == rel.has(a, b)
+               for a in range(8) for b in range(8))
+    assert r == rel and r.edges == rel.edges
+    assert r.union(rel) == rel and r.induced([1, 2, 3]) == rel.induced([1, 2, 3])
+
+
 def test_relation_union_restrict():
     r = Relation([(0, 1), (1, 2)])
     s = Relation([(2, 3)])
@@ -57,6 +74,8 @@ def test_find_cycle_survives_long_chains():
     chain = [(i, i + 1) for i in range(n)]
     assert find_cycle(Relation(chain)) is None
     assert find_cycle(Relation(chain + [(n, 0)])) == list(range(n + 1)) + [0]
+    assert not on_cycle(Relation(chain), range(n + 1))
+    assert on_cycle(Relation(chain + [(n, 0)]), [n // 2])
 
 
 def test_foldr_accumulates_left_to_right():
