@@ -13,11 +13,22 @@ Four protocols run over the simulated network:
 
 Replicas expose on_invoke / on_deliver / on_internal / has_internal plus a
 state digest, and answer through Effects records.
+
+The world hashes a replica's state after every step, so the state's text is
+kept current as the state changes instead of being rendered afresh each
+step.  The parts of a state that grow with the run live in two containers.
+A `RenderedDict` renders each `(key, value)` pair when the key is set and
+keeps the pairs in key order; a `RenderedLog` renders each request's dot
+when the request is appended.  Their `text()` joins those fragments into
+exactly what `repr` gives for the sorted items or the list of dots, so every
+digest hashes the same bytes as rendering the whole state would, while the
+Python-level work per step is proportional to what the step changed.
 """
 
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .model import OK, OperationLabel, STRONG, WEAK, rv_int, rv_bool, rv_str
@@ -36,6 +47,94 @@ class Req:
 
 def _digest(obj):
     return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+_render = repr    # every fragment of a state's text is rendered through here
+
+
+class StateText(str):
+    """A rendered state component that `repr` writes out unchanged, so a
+    tuple holding it renders exactly like a tuple holding the list it was
+    rendered from."""
+
+    __slots__ = ()
+    __repr__ = str.__str__
+
+
+def _list_text(fragments):
+    return StateText("[" + ", ".join(fragments) + "]")
+
+
+def _refuse(self, *args, **kwargs):
+    raise TypeError("%s changes only in ways that keep its text current"
+                    % type(self).__name__)
+
+
+class RenderedDict(dict):
+    """A dict whose `text()` is `repr(sorted(self.items()))`.
+
+    Keys are kept sorted beside the dict, each with its rendered
+    `(key, value)` pair, so setting a key renders that pair alone.  The dict
+    changes only by item assignment and `setdefault`; every other mutator
+    raises, so the text cannot fall behind the contents.
+    """
+
+    __slots__ = ("_keys", "_fragments", "_text")
+
+    def __init__(self):
+        super().__init__()
+        self._keys = []
+        self._fragments = []
+        self._text = None         # the joined text, until the next change
+
+    def __setitem__(self, key, value):
+        fragment = _render((key, value))
+        i = bisect_left(self._keys, key)
+        if key in self:
+            self._fragments[i] = fragment
+        else:
+            self._keys.insert(i, key)
+            self._fragments.insert(i, fragment)
+        super().__setitem__(key, value)
+        self._text = None
+
+    def setdefault(self, key, default=None):
+        if key not in self:
+            self[key] = default
+        return self[key]
+
+    def text(self):
+        if self._text is None:
+            self._text = _list_text(self._fragments)
+        return self._text
+
+    update = pop = popitem = clear = __delitem__ = __ior__ = _refuse
+
+
+class RenderedLog(list):
+    """An append-only list of requests whose `text()` is
+    `repr([r.dot for r in self])`: each dot is rendered once, on append.
+    Every other mutator raises."""
+
+    __slots__ = ("_fragments", "_text")
+
+    def __init__(self):
+        super().__init__()
+        self._fragments = []
+        self._text = None         # the joined text, until the next append
+
+    def append(self, req):
+        self._fragments.append(_render(req.dot))
+        super().append(req)
+        self._text = None
+
+    def text(self):
+        if self._text is None:
+            self._text = _list_text(self._fragments)
+        return self._text
+
+    extend = insert = pop = remove = clear = sort = reverse = _refuse
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
 
 
 class Replica:
@@ -83,7 +182,7 @@ class NncReplica(Replica):
 
     def __init__(self, rid):
         super().__init__(rid)
-        self.known_adds = {}     # dot -> amount, everything seen via RB or TOB
+        self.known_adds = RenderedDict()  # dot -> amount, seen via RB or TOB
         self.committed_add = 0
         self.committed_sub = 0
         self.awaiting = {}       # dot -> event id of my undecided subtract
@@ -92,11 +191,11 @@ class NncReplica(Replica):
         return op.name == "get"
 
     def _state_repr(self):
-        return (sorted(self.known_adds.items()), self.committed_add,
+        return (self.known_adds.text(), self.committed_add,
                 self.committed_sub, sorted(self.awaiting))
 
     def _converged_repr(self):
-        return (sorted(self.known_adds.items()), self.committed_add,
+        return (self.known_adds.text(), self.committed_add,
                 self.committed_sub)
 
     def value(self):
@@ -137,7 +236,48 @@ class NncReplica(Replica):
         return eff
 
 
-class MixedLogReplica(Replica):
+class LogReplica(Replica):
+    """A tentative log, kept sorted, and a committed log in commit order.
+
+    A request enters each log at most once, and leaves the tentative log
+    only when it is committed, so the two logs never share a dot and
+    `known` holds the dots of both.
+    """
+
+    def __init__(self, rid):
+        super().__init__(rid)
+        self.committed = RenderedLog()   # Req, in commit order
+        self.tentative = []              # Req, kept sorted
+        self.known = set()               # dots in either log
+
+    def _converged_repr(self):
+        return (self.committed.text(), [r.dot for r in self.tentative])
+
+    def _insert_tentative(self, req):
+        self.tentative.append(req)
+        self.tentative.sort()
+        self.known.add(req.dot)
+
+    def _commit(self, req):
+        """Move req from the tentative log to the end of the committed log;
+        a known dot that is not tentative is committed already."""
+        tentative = [r for r in self.tentative if r.dot != req.dot]
+        if req.dot not in self.known or len(tentative) < len(self.tentative):
+            self.committed.append(req)
+            self.known.add(req.dot)
+        self.tentative = tentative
+
+    def on_deliver(self, kind, msg):
+        tag, req = msg.payload
+        if tag == "ISSUE":
+            if req.dot not in self.known:
+                self._insert_tentative(req)
+        else:
+            self._commit(req)
+        return Effects()
+
+
+class MixedLogReplica(LogReplica):
     """Append/read sequence with a tentative log and a committed prefix.
 
     Weak updates answer from the tentative state at invoke time and are both
@@ -147,27 +287,17 @@ class MixedLogReplica(Replica):
 
     def __init__(self, rid):
         super().__init__(rid)
-        self.committed = []            # Req, in commit order
-        self.tentative = []            # Req, kept sorted
         self.awaiting = {}             # dot -> event id of my strong op
 
     def is_local_ro(self, op, level):
         return op.name == "read" and level == WEAK
 
     def _state_repr(self):
-        return ([r.dot for r in self.committed],
-                [r.dot for r in self.tentative], sorted(self.awaiting))
-
-    def _converged_repr(self):
-        return ([r.dot for r in self.committed],
-                [r.dot for r in self.tentative])
+        return (self.committed.text(), [r.dot for r in self.tentative],
+                sorted(self.awaiting))
 
     def _trace(self):
-        return [r for r in self.committed + self.tentative]
-
-    def _insert_tentative(self, req):
-        self.tentative.append(req)
-        self.tentative.sort()
+        return self.committed + self.tentative
 
     def _value_of(self, op, reqs):
         if op.name == "append":
@@ -194,18 +324,9 @@ class MixedLogReplica(Replica):
         return Effects(casts=[(TOB, ("COMMIT", req))], req_dot=req.dot)
 
     def on_deliver(self, kind, msg):
+        eff = super().on_deliver(kind, msg)
         tag, req = msg.payload
-        known = {r.dot for r in self.committed + self.tentative}
-        if tag == "ISSUE":
-            if req.dot not in known:
-                self._insert_tentative(req)
-            return Effects()
-        # COMMIT
-        self.tentative = [r for r in self.tentative if r.dot != req.dot]
-        if req.dot not in {r.dot for r in self.committed}:
-            self.committed.append(req)
-        eff = Effects()
-        if req.dot in self.awaiting:
+        if tag == "COMMIT" and req.dot in self.awaiting:
             prefix = self.committed[:-1]
             eff.responses.append(Response(
                 self.awaiting.pop(req.dot),
@@ -274,7 +395,7 @@ def replay(reqs):
     return results
 
 
-class ClassicLogReplica(Replica):
+class ClassicLogReplica(LogReplica):
     """Primary-commit tentative/committed log over register programs.
 
     Every operation, including queries, becomes a request: it is inserted
@@ -286,24 +407,17 @@ class ClassicLogReplica(Replica):
     def __init__(self, rid, is_primary=False):
         super().__init__(rid)
         self.is_primary = is_primary
-        self.committed = []
-        self.tentative = []
         self.commit_queue = []    # dots in learn order, primary only
 
     def _state_repr(self):
-        return ([r.dot for r in self.committed],
-                [r.dot for r in self.tentative], list(self.commit_queue))
-
-    def _converged_repr(self):
-        return ([r.dot for r in self.committed],
-                [r.dot for r in self.tentative])
+        return (self.committed.text(), [r.dot for r in self.tentative],
+                list(self.commit_queue))
 
     def committed_dots(self):
         return [r.dot for r in self.committed]
 
     def _insert_tentative(self, req):
-        self.tentative.append(req)
-        self.tentative.sort()
+        super()._insert_tentative(req)
         if self.is_primary:
             self.commit_queue.append(req.dot)
 
@@ -313,8 +427,7 @@ class ClassicLogReplica(Replica):
     def on_internal(self):
         dot = self.commit_queue.pop(0)
         req = next(r for r in self.tentative if r.dot == dot)
-        self.tentative = [r for r in self.tentative if r.dot != dot]
-        self.committed.append(req)
+        self._commit(req)
         return Effects(casts=[(FIFO_RB, ("COMMIT", req))])
 
     def on_invoke(self, event_id, op, level, now_clock):
@@ -332,19 +445,6 @@ class ClassicLogReplica(Replica):
                                 essential_edges=tuple(sorted(edges)))],
             req_dot=req.dot)
 
-    def on_deliver(self, kind, msg):
-        tag, req = msg.payload
-        known = {r.dot for r in self.committed + self.tentative}
-        if tag == "ISSUE":
-            if req.dot not in known:
-                self._insert_tentative(req)
-            return Effects()
-        # COMMIT from the primary
-        self.tentative = [r for r in self.tentative if r.dot != req.dot]
-        if req.dot not in {r.dot for r in self.committed}:
-            self.committed.append(req)
-        return Effects()
-
 
 class RedBlueReplica(Replica):
     """Shadow-operation log: blue appends over RB, red appends over TOB,
@@ -353,17 +453,17 @@ class RedBlueReplica(Replica):
     def __init__(self, rid):
         super().__init__(rid)
         self.lc = 0
-        self.shadows = {}        # dot -> (payload, lc at generation)
+        self.shadows = RenderedDict()  # dot -> (payload, lc at generation)
         self.awaiting = {}       # dot -> event id of my red op
 
     def is_local_ro(self, op, level):
         return op.name == "read"
 
     def _state_repr(self):
-        return (self.lc, sorted(self.shadows.items()), sorted(self.awaiting))
+        return (self.lc, self.shadows.text(), sorted(self.awaiting))
 
     def _converged_repr(self):
-        return sorted(self.shadows.items())
+        return self.shadows.text()
 
     def _apply(self, dot, payload, lc):
         if dot in self.shadows:

@@ -9,8 +9,11 @@ across blocks and stall TOB outside the majority block.
 Every step records the acting replica's state digest before and after it,
 and `check_act_restrictions` lints the recorded trace.  The world hashes a
 replica's state once per step: the digest before a step is the one recorded
-after that replica's previous step.  Delivery sets, dot lookups and TOB
-positions are kept as the run goes, so no step rescans the run so far.
+after that replica's previous step.  Nor is the state rendered afresh for
+the hash: each replica keeps its state's text current as the state changes
+(see `protocols`), so hashing costs one sha256 over that text plus Python
+work proportional to what the step changed.  Delivery sets, dot lookups and
+TOB positions are kept as the run goes, so no step rescans the run so far.
 """
 
 from __future__ import annotations

@@ -1,12 +1,15 @@
-"""Reference implementations the checker and the witness builders are
-compared with: the pair-set witness builders with their linear anchor scan,
-the closure-based NCC check and the set-based SinOrd check, as they were
-before the builders moved to bisection and masks and NCC to one strongly
-connected components pass."""
+"""Reference implementations the checker, the witness builders and the
+replicas are compared with: the pair-set witness builders with their linear
+anchor scan, the closure-based NCC check and the set-based SinOrd check, as
+they were before the builders moved to bisection and masks and NCC to one
+strongly connected components pass; and each replica's state rendered from
+scratch, as it was before replicas kept their state text current."""
 
 from actsim.model import (STRONG, AbstractExecution, Relation, find_cycle,
                           session_order)
 from actsim.predicates import HOLDS, VIOLATED, PredicateReport, _path_nodes
+from actsim.protocols import (ClassicLogReplica, MixedLogReplica, NncReplica,
+                              RedBlueReplica)
 
 
 def insert_after_anchor(base, rb, locals_, is_anchor):
@@ -158,3 +161,45 @@ def check_SinOrd(a, l):
         return PredicateReport("SinOrd", l, VIOLATED, tuple(bad))
     return PredicateReport("SinOrd", l, HOLDS,
                            (tuple(sorted(excluded)),) if excluded else ())
+
+
+# -- replica states, rendered from scratch -------------------------------
+
+def nnc_state(r):
+    return (sorted(r.known_adds.items()), r.committed_add, r.committed_sub,
+            sorted(r.awaiting))
+
+
+def nnc_converged(r):
+    return (sorted(r.known_adds.items()), r.committed_add, r.committed_sub)
+
+
+def mixed_log_state(r):
+    return ([x.dot for x in r.committed], [x.dot for x in r.tentative],
+            sorted(r.awaiting))
+
+
+def classic_log_state(r):
+    return ([x.dot for x in r.committed], [x.dot for x in r.tentative],
+            list(r.commit_queue))
+
+
+def log_converged(r):
+    return ([x.dot for x in r.committed], [x.dot for x in r.tentative])
+
+
+def redblue_state(r):
+    return (r.lc, sorted(r.shadows.items()), sorted(r.awaiting))
+
+
+def redblue_converged(r):
+    return sorted(r.shadows.items())
+
+
+# replica class -> its (_state_repr, _converged_repr)
+STATE_REPRS = {
+    NncReplica: (nnc_state, nnc_converged),
+    MixedLogReplica: (mixed_log_state, log_converged),
+    ClassicLogReplica: (classic_log_state, log_converged),
+    RedBlueReplica: (redblue_state, redblue_converged),
+}

@@ -1,9 +1,14 @@
-"""Unit tests for the replica implementations, driven without the network."""
+"""Unit tests for the replica implementations, driven without the network,
+and for the containers that keep their state text current."""
+
+import pytest
+from hypothesis import given, strategies as st
 
 from actsim.model import (OK, OperationLabel, STRONG, WEAK, rv_bool, rv_int,
                           rv_str)
 from actsim.protocols import (ClassicLogReplica, MixedLogReplica, NncReplica,
-                              RedBlueReplica, Req, replay)
+                              RedBlueReplica, RenderedDict, RenderedLog, Req,
+                              replay)
 from actsim.simnet import Message, RB, TOB
 
 
@@ -138,3 +143,64 @@ def test_redblue_red_append_answers_at_commit():
     assert eff.responses == [] and eff.casts[0][0] == TOB
     done = r.on_deliver(TOB, msg(TOB, eff.casts[0][1]))
     assert done.responses[0].event_id == 0
+
+
+# -- the rendered state containers -----------------------------------------
+
+dots = st.tuples(st.integers(0, 3), st.integers(1, 40))
+values = st.one_of(st.integers(-5, 5),
+                   st.tuples(st.text("ab", max_size=2), st.integers(0, 9)))
+
+
+@given(st.lists(st.tuples(st.booleans(), dots, values), max_size=60))
+def test_rendered_dict_text_is_its_sorted_items(writes):
+    d, plain = RenderedDict(), {}
+    for assign, key, value in writes:
+        if assign:
+            d[key] = value
+            plain[key] = value
+        else:
+            assert d.setdefault(key, value) == plain.setdefault(key, value)
+        assert d == plain
+        assert d.text() == repr(sorted(plain.items()))
+    assert repr((d.text(), 0)) == repr((sorted(plain.items()), 0))
+
+
+@given(st.lists(dots, unique=True, max_size=40))
+def test_rendered_log_text_is_its_list_of_dots(appended):
+    log = RenderedLog()
+    for i, dot in enumerate(appended):
+        log.append(Req(i, dot, lab("append", "a")))
+        assert log.text() == repr([r.dot for r in log])
+    assert [r.dot for r in log] == appended
+
+
+def test_rendered_containers_refuse_every_other_mutator():
+    d = RenderedDict()
+    d[(0, 1)] = 1
+    log = RenderedLog()
+    log.append(Req(0, (0, 1), lab("append", "a")))
+    req = Req(1, (0, 2), lab("append", "b"))
+    refused = [
+        lambda: d.update({(0, 2): 2}), lambda: d.pop((0, 1)), d.popitem,
+        d.clear, lambda: log.extend([req]), lambda: log.insert(0, req),
+        log.pop, lambda: log.remove(log[0]), log.clear, log.sort, log.reverse]
+    for mutate in refused:
+        with pytest.raises(TypeError):
+            mutate()
+    with pytest.raises(TypeError):
+        del d[(0, 1)]
+    with pytest.raises(TypeError):
+        d |= {(0, 2): 2}
+    with pytest.raises(TypeError):
+        log[0] = req
+    with pytest.raises(TypeError):
+        log[0:1] = []
+    with pytest.raises(TypeError):
+        del log[0]
+    with pytest.raises(TypeError):
+        log += [req]
+    with pytest.raises(TypeError):
+        log *= 2
+    assert d == {(0, 1): 1} and d.text() == "[((0, 1), 1)]"
+    assert [r.dot for r in log] == [(0, 1)] and log.text() == "[(0, 1)]"

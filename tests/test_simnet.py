@@ -2,12 +2,14 @@
 
 import pytest
 
-from actsim import harness
+from actsim import harness, protocols
 from actsim.harness import run_scenario
 from actsim.model import OperationLabel, STRONG, WEAK
 from actsim.protocols import NncReplica, Replica
 from actsim.simnet import (Invoke, Schedule, SimWorld, StepBudgetExceeded,
                            TOB, UnknownReplica, check_act_restrictions)
+import reference
+import runs
 from runs import random_counter_run
 
 
@@ -172,10 +174,37 @@ def recording(cls):
     return Recording
 
 
-def _record_replicas(monkeypatch, module):
+def checking(cls, check):
+    """A subclass of `cls` that calls check(self) on entering and on
+    leaving each handler."""
+
+    class Checking(cls):
+        def on_invoke(self, *args):
+            check(self)
+            eff = super().on_invoke(*args)
+            check(self)
+            return eff
+
+        def on_deliver(self, *args):
+            check(self)
+            eff = super().on_deliver(*args)
+            check(self)
+            return eff
+
+        def on_internal(self):
+            check(self)
+            eff = super().on_internal()
+            check(self)
+            return eff
+
+    Checking.__name__ = cls.__name__
+    return Checking
+
+
+def _wrap_replicas(monkeypatch, module, wrap):
     for name, obj in list(vars(module).items()):
         if isinstance(obj, type) and issubclass(obj, Replica):
-            monkeypatch.setattr(module, name, recording(obj))
+            monkeypatch.setattr(module, name, wrap(obj))
 
 
 def _assert_hash_before_is_fresh(world, label):
@@ -187,8 +216,8 @@ def _assert_hash_before_is_fresh(world, label):
 
 
 def test_hash_before_equals_a_fresh_digest_at_handler_entry(monkeypatch):
-    _record_replicas(monkeypatch, harness)
-    _record_replicas(monkeypatch, mutants)
+    _wrap_replicas(monkeypatch, harness, recording)
+    _wrap_replicas(monkeypatch, mutants, recording)
     checked = 0
     for name in harness.SCENARIOS:
         for mode in ("stable", "async"):
@@ -203,6 +232,37 @@ def test_hash_before_equals_a_fresh_digest_at_handler_entry(monkeypatch):
     assert checked == 2 * (len(harness.SCENARIOS) - 1) + len(RULES)
 
 
+def test_digests_equal_those_of_a_from_scratch_render(monkeypatch):
+    checked = {}
+
+    def check(rep):
+        got = rep.state_digest(), rep.convergence_digest()
+        with pytest.MonkeyPatch.context() as m:
+            for cls, (state, converged) in reference.STATE_REPRS.items():
+                m.setattr(cls, "_state_repr", state)
+                m.setattr(cls, "_converged_repr", converged)
+            want = rep.state_digest(), rep.convergence_digest()
+        name = type(rep).__name__
+        assert got == want, name
+        checked[name] = checked.get(name, 0) + 1
+
+    for module in (harness, mutants, runs):
+        _wrap_replicas(monkeypatch, module, lambda cls: checking(cls, check))
+    for name in harness.SCENARIOS:
+        for mode in ("stable", "async"):
+            for seed in (0, 1):
+                harness.run_scenario(name, seed=seed, mode=mode)
+    assert len(list(mutants.mutant_runs())) == len(RULES)
+    for seed in range(30):
+        runs.random_counter_run(seed, max_events=30)
+        runs.random_log_run(seed, mode=("stable", "async")[seed % 2],
+                            events=30)
+    assert set(checked) == {
+        "NncReplica", "MixedLogReplica", "ClassicLogReplica",
+        "RedBlueReplica", "VisibleGetReplica", "RestlessReplica",
+        "ChattyGetReplica", "SlowAddReplica", "MuteSubtractReplica"}
+
+
 class DigestCountingReplica(NncReplica):
     calls = 0
 
@@ -213,6 +273,9 @@ class DigestCountingReplica(NncReplica):
 
 def test_state_digests_grow_linearly_with_the_steps(monkeypatch):
     monkeypatch.setattr(DigestCountingReplica, "calls", 0)
+    renders = []
+    monkeypatch.setattr(protocols, "_render",
+                        lambda obj: renders.append(obj) or repr(obj))
     workload = []
     for i in range(150):
         kind = ("add", "get", "add", "get", "subtract")[i % 5]
@@ -228,6 +291,27 @@ def test_state_digests_grow_linearly_with_the_steps(monkeypatch):
     harness.inject_probes(world, lab("get"), WEAK)
     assert len(world.trace.steps) > 500
     assert DigestCountingReplica.calls <= len(world.trace.steps) + 3
+    # a known add's (dot, amount) pair is rendered once, when first set,
+    # however many steps hash the state afterwards
+    assert len(renders) == sum(len(r.known_adds) for r in world.replicas)
+    assert len(renders) < len(world.trace.steps)
+
+
+def test_the_seed_changes_a_run_only_through_jitter():
+    workload = [Invoke(1 + i, "c%d" % (i % 4), i % 3,
+                       lab("add", 1) if i % 2 else lab("get"), WEAK)
+                for i in range(12)]
+
+    def digest(seed, jitter):
+        schedule = Schedule(seed=seed, rb_delay=2, tob_delay=3, jitter=jitter)
+        world = SimWorld([NncReplica(i) for i in range(3)], schedule,
+                         workload, protocol="nnc")
+        world.run_to_quiescence()
+        return world.trace.digest()
+
+    assert digest(1, 2) == digest(1, 2)
+    assert digest(1, 2) != digest(2, 2)
+    assert digest(1, 0) == digest(2, 0)
 
 
 def test_slow_add_reports_the_first_delivery_it_awaited():
