@@ -514,11 +514,13 @@ class AbstractExecution:
     """A = (H, vis, ar, par).
 
     ar is kept as a sequence (the total order read off left to right); par
-    maps each event to its own total order sequence.  vis must relate events
-    of the history, none to itself; it is not reassigned after construction,
-    because happens_before keeps the closure it derives from it.  That
-    closure is computed only when asked for or when NCC fails: a passing NCC
-    check decides acyclicity without it.
+    maps each event to its own total order sequence.  An order that is the
+    ar tuple itself is not validated again, so a builder whose par(e) is
+    mostly ar passes that one tuple (`tuple` of a tuple returns it).  vis
+    must relate events of the history, none to itself; it is not reassigned
+    after construction, because happens_before keeps the closure it derives
+    from it.  That closure is computed only when asked for or when NCC
+    fails: a passing NCC check decides acyclicity without it.
     """
 
     def __init__(self, history: History, vis: Relation, ar, par=None):
@@ -542,7 +544,7 @@ class AbstractExecution:
         for eid, seq in self.par.items():
             if eid not in history._by_id:
                 raise MalformedHistory("par key %r is not an event" % (eid,))
-            if sorted(seq) != ids:
+            if seq is not self.ar and sorted(seq) != ids:
                 raise MalformedHistory("par(%d) must be a permutation" % eid)
 
     def ar_before(self, a, b):
@@ -586,7 +588,7 @@ class AbstractExecution:
 
     @staticmethod
     def from_json(history: History, d) -> "AbstractExecution":
-        ar = list(d["ar"])
+        ar = tuple(d["ar"])
         par = {}
         for k, v in d["par"].items():
             par[int(k)] = ar if v == "ar" else list(v)

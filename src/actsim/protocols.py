@@ -277,17 +277,29 @@ class LogReplica(Replica):
         return Effects()
 
 
+def _appended(req):
+    """The text req appends to the sequence."""
+    return req.op.args[0] if req.op.name == "append" else ""
+
+
 class MixedLogReplica(LogReplica):
     """Append/read sequence with a tentative log and a committed prefix.
 
     Weak updates answer from the tentative state at invoke time and are both
     RB-issued and TOB-committed; weak reads are purely local; strong
     operations answer only once their own commit is delivered.
+
+    An answer carries the dots of the state it was computed from as its
+    snapshot.  The committed log only grows, so its dots and the text its
+    appends spell are kept as `_commit` grows them; an answer joins those
+    to the few tentative requests instead of walking the whole log.
     """
 
     def __init__(self, rid):
         super().__init__(rid)
         self.awaiting = {}             # dot -> event id of my strong op
+        self._committed_dots = ()      # the dots of self.committed
+        self._committed_text = ""      # what the committed appends spell
 
     def is_local_ro(self, op, level):
         return op.name == "read" and level == WEAK
@@ -296,28 +308,33 @@ class MixedLogReplica(LogReplica):
         return (self.committed.text(), [r.dot for r in self.tentative],
                 sorted(self.awaiting))
 
-    def _trace(self):
-        return self.committed + self.tentative
+    def _commit(self, req):
+        n = len(self.committed)
+        super()._commit(req)
+        if len(self.committed) > n:
+            self._committed_dots += (req.dot,)
+            self._committed_text += _appended(req)
 
-    def _value_of(self, op, reqs):
+    def _answer(self, op):
+        """(snapshot, value) of op over the committed and tentative logs."""
+        snapshot = self._committed_dots + tuple(r.dot for r in self.tentative)
         if op.name == "append":
-            return OK
-        return rv_str("".join(r.op.args[0] for r in reqs
-                              if r.op.name == "append"))
+            return snapshot, OK
+        return snapshot, rv_str(self._committed_text
+                                + "".join(map(_appended, self.tentative)))
 
     def on_invoke(self, event_id, op, level, now_clock):
         if self.is_local_ro(op, level):
-            snapshot = tuple(r.dot for r in self._trace())
-            value = self._value_of(op, self._trace())
+            snapshot, value = self._answer(op)
             return Effects(responses=[
                 Response(event_id, value, trace_snapshot=snapshot)])
         req = Req(now_clock, self.mint_dot(), op, level)
         if level == WEAK:
-            snapshot = tuple(r.dot for r in self._trace())
+            snapshot, value = self._answer(op)
             self._insert_tentative(req)
             return Effects(
                 casts=[(RB, ("ISSUE", req)), (TOB, ("COMMIT", req))],
-                responses=[Response(event_id, self._value_of(op, self._trace()),
+                responses=[Response(event_id, value,
                                     trace_snapshot=snapshot)],
                 req_dot=req.dot)
         self.awaiting[req.dot] = event_id
@@ -327,11 +344,13 @@ class MixedLogReplica(LogReplica):
         eff = super().on_deliver(kind, msg)
         tag, req = msg.payload
         if tag == "COMMIT" and req.dot in self.awaiting:
-            prefix = self.committed[:-1]
+            # the committed prefix before req; req itself appends nothing
+            # to a read's value, and an append answers OK
+            value = (OK if req.op.name == "append"
+                     else rv_str(self._committed_text))
             eff.responses.append(Response(
-                self.awaiting.pop(req.dot),
-                self._value_of(req.op, prefix),
-                trace_snapshot=tuple(r.dot for r in prefix)))
+                self.awaiting.pop(req.dot), value,
+                trace_snapshot=self._committed_dots[:-1]))
         return eff
 
 

@@ -263,6 +263,9 @@ class SimWorld:
         # per replica: events whose RB / TOB message it has delivered
         self._rbdel = [set() for _ in self.replicas]
         self._tobdel = [set() for _ in self.replicas]
+        # per replica: those sets frozen, until the next delivery changes them
+        self._rbdel_frozen = [frozenset()] * len(self.replicas)
+        self._tobdel_frozen = [frozenset()] * len(self.replicas)
         self._event_of_dot = {}        # req dot -> event id
         self._digest = [None] * len(self.replicas)  # last hash_after
         self.withheld = set()          # msg ids never delivered anywhere
@@ -386,8 +389,19 @@ class SimWorld:
             return
         if msg.kind == RB:
             self._rbdel[dest].add(ev)
+            self._rbdel_frozen[dest] = None
         elif msg.kind == TOB:
             self._tobdel[dest].add(ev)
+            self._tobdel_frozen[dest] = None
+
+    def _delivered(self, rid):
+        """The events whose RB and whose TOB message rid has delivered, as
+        frozensets, frozen once per change."""
+        if self._rbdel_frozen[rid] is None:
+            self._rbdel_frozen[rid] = frozenset(self._rbdel[rid])
+        if self._tobdel_frozen[rid] is None:
+            self._tobdel_frozen[rid] = frozenset(self._tobdel[rid])
+        return self._rbdel_frozen[rid], self._tobdel_frozen[rid]
 
     def _digest_before(self, rid):
         digest = self._digest[rid]
@@ -407,13 +421,16 @@ class SimWorld:
                 continue
             rec.return_step = self.now
             rec.rval = resp.value
-            rec.rbdel = frozenset(self._rbdel[rid])
-            rec.tobdel = frozenset(self._tobdel[rid])
+            rec.rbdel, rec.tobdel = self._delivered(rid)
             event_of = self._event_of_dot
             if resp.trace_snapshot is not None:
-                rec.trace_snapshot = tuple(
-                    event_of[dot] for dot in resp.trace_snapshot
-                    if dot in event_of)
+                try:
+                    rec.trace_snapshot = tuple(
+                        map(event_of.__getitem__, resp.trace_snapshot))
+                except KeyError:    # a dot minted by no recorded event
+                    rec.trace_snapshot = tuple(
+                        event_of[dot] for dot in resp.trace_snapshot
+                        if dot in event_of)
             edges = []
             for dep_dot, this_dot in resp.essential_edges:
                 dep = event_of.get(dep_dot) if dep_dot else None

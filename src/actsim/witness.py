@@ -14,6 +14,21 @@ before b was invoked, so the anchors g does not return before are exactly
 those invoked at or before g's return.  Visibility is built as one
 predecessor mask per event, from snapshot bits, rb predecessor masks and
 running prefix masks along an order, never as a set of pairs.
+
+In the tentative log a weak event's perceived order par(e) is the snapshot
+its replica answered from (the committed prefix of ar, then a few tentative
+requests), then the other shared events in ar's order, with the locals
+slotted in again.  So each snapshot is split once, into its longest common
+prefix with ar's shared events (c events long, found at C speed) and a
+tail.  Its vis bits are the prefix mask of those c events ORed with the
+tail's bits, and par(e) is the ar tuple itself when the tail is empty.
+Otherwise only a window of ar moves: from the shared event at index c up
+to the last one the tail pulls forward, with the locals ar places inside
+it.  Outside the
+window the shared order is ar's, so a local whose anchor lies outside
+keeps it; one whose anchor lies inside finds its new anchor inside, since
+the window only permutes its shared events.  That window alone is laid out
+again.
 """
 
 from __future__ import annotations
@@ -21,8 +36,9 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate, compress, count
 from math import inf
+from operator import ne, or_
 from typing import Optional
 
 from .model import (AbstractExecution, History, Relation, STRONG, id_mask,
@@ -128,6 +144,24 @@ def build_nnc_witness(history: History, trace: ProtocolTrace,
     return AbstractExecution(history, Relation.from_pred_masks(preds), ar)
 
 
+def _common_prefix(xs, ys):
+    """The length of the longest common prefix of xs and ys."""
+    return next(compress(count(), map(ne, xs, ys)), min(len(xs), len(ys)))
+
+
+def _split_snapshot(snapshot, shared, position):
+    """(c, tail) such that snapshot without its repeats is shared[:c] + tail,
+    with c as large as can be.  shared lists each event of snapshot once, and
+    position maps each of those events to its index in shared."""
+    c = _common_prefix(snapshot, shared)
+    if c == len(snapshot):
+        return c, []
+    # a repeat in snapshot[c:] repeats an event of the prefix or of the tail
+    tail = [x for x in dict.fromkeys(snapshot[c:]) if position[x] >= c]
+    k = _common_prefix(tail, shared[c:c + len(tail)])
+    return c + k, tail[k:]
+
+
 def build_log_witness(history: History, trace: ProtocolTrace,
                       mode="stable") -> AbstractExecution:
     """Tentative-log witness: arbitration is the commit order; weak events
@@ -150,14 +184,39 @@ def build_log_witness(history: History, trace: ProtocolTrace,
     invoked = {e: history.event(e).invoke_ts for e in shared
                if not recs[e].pending}
     returns = _returns(history, locals_)
-    ar = _insert_after_anchor(base, invoked, returns)
+    ar = tuple(_insert_after_anchor(base, invoked, returns))
+
+    # base lists ar's shared events in ar's order: position[x] is x's index
+    # in base, prefix[k] the mask of base[:k], and at[k] the index of base[k]
+    # in ar (len(ar) for k == len(base))
+    local_mask = id_mask(locals_)
+    position = {e: k for k, e in enumerate(base)}
+    prefix = list(accumulate(map((1).__lshift__, base), or_, initial=0))
+    at = [i for i, e in enumerate(ar) if e in position] + [len(ar)]
+    return_of = dict(returns)
 
     # vis as predecessor masks: e's request was in e2's state; locals see
     # the locals that returned before them; shared events see the locals
-    # arbitrated before them
-    local_mask = id_mask(locals_)
-    preds = {e2: id_mask(recs[e2].trace_snapshot or ()) & ~(1 << e2)
-             for e2 in ids}
+    # arbitrated before them.  Weak events perceive their snapshot in
+    # tentative order, then the rest of the shared events in final order,
+    # with locals slotted in by the same overlap rule: only the window of ar
+    # from base[c] up to the last event the tail pulls forward differs.
+    preds, par = {}, {}
+    for e2 in ids:
+        c, tail = _split_snapshot(recs[e2].trace_snapshot or (), base,
+                                  position)
+        preds[e2] = (prefix[c] | id_mask(tail)) & ~(1 << e2)
+        if not tail or e2 in strong:
+            par[e2] = ar
+            continue
+        end = 1 + max(map(position.__getitem__, tail))
+        lo, hi = at[c], at[end]
+        pulled = set(tail)
+        window = tail + [x for x in base[c:end] if x not in pulled]
+        inside = sorted(g for g in ar[lo:hi] if g not in position)
+        relaid = _insert_after_anchor(window, invoked,
+                                      [(g, return_of[g]) for g in inside])
+        par[e2] = ar[:lo] + tuple(relaid) + ar[hi:]
     for g in locals_:
         preds[g] |= rb.pred_mask(g) & local_mask
     earlier = 0
@@ -168,20 +227,6 @@ def build_log_witness(history: History, trace: ProtocolTrace,
             preds[e] |= earlier
     if mode == "async":
         preds = _without(preds, pending_strong)
-
-    # weak events perceive: their snapshot in tentative order, then the rest
-    # of the shared events in final order, with locals slotted in by the
-    # same overlap rule
-    par = {}
-    shared_in_ar = [e for e in ar if not local_mask >> e & 1]
-    for e in ids:
-        if e in strong:
-            par[e] = tuple(ar)
-            continue
-        seen = dict.fromkeys(recs[e].trace_snapshot or ())
-        rest = [x for x in shared_in_ar if x not in seen]
-        par[e] = tuple(_insert_after_anchor(list(seen) + rest, invoked,
-                                            returns))
     return AbstractExecution(history, Relation.from_pred_masks(preds), ar,
                              par)
 

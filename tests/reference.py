@@ -2,11 +2,13 @@
 replicas are compared with: the pair-set witness builders with their linear
 anchor scan, the closure-based NCC check and the set-based SinOrd check, as
 they were before the builders moved to bisection and masks and NCC to one
-strongly connected components pass; and each replica's state rendered from
-scratch, as it was before replicas kept their state text current."""
+strongly connected components pass; each replica's state rendered from
+scratch, as it was before replicas kept their state text current; and a
+tentative-log replica's answer read off its whole log, as it was before the
+replica kept its committed dots and text."""
 
-from actsim.model import (STRONG, AbstractExecution, Relation, find_cycle,
-                          session_order)
+from actsim.model import (OK, STRONG, AbstractExecution, Relation,
+                          find_cycle, rv_str, session_order)
 from actsim.predicates import HOLDS, VIOLATED, PredicateReport, _path_nodes
 from actsim.protocols import (ClassicLogReplica, MixedLogReplica, NncReplica,
                               RedBlueReplica)
@@ -203,3 +205,14 @@ STATE_REPRS = {
     ClassicLogReplica: (classic_log_state, log_converged),
     RedBlueReplica: (redblue_state, redblue_converged),
 }
+
+
+def mixed_log_answer(op, reqs):
+    """(snapshot, value) a MixedLogReplica answers op with from the requests
+    reqs, committed then tentative: the dots of reqs, and OK for an append
+    or the concatenated appends of reqs for a read."""
+    snapshot = tuple(r.dot for r in reqs)
+    if op.name == "append":
+        return snapshot, OK
+    return snapshot, rv_str("".join(r.op.args[0] for r in reqs
+                                    if r.op.name == "append"))

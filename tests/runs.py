@@ -55,11 +55,12 @@ def random_counter_run(seed, max_events=8, n_replicas=3, probe_count=3,
     return history, world.trace, a, hz, mode
 
 
-def random_log_run(seed, max_events=8, mode="stable", events=None):
+def random_log_run(seed, max_events=8, mode="stable", events=None,
+                   max_gap=8):
     """A seeded random tentative-log workload of `events` invokes (drawn up
-    to max_events when None); in async mode total-order delivery stops at a
-    random step, so some strong events stay pending.  Returns (history,
-    trace, witness, horizon)."""
+    to max_events when None), each 1 to max_gap steps after the last; in
+    async mode total-order delivery stops at a random step, so some strong
+    events stay pending.  Returns (history, trace, witness, horizon)."""
     rng = random.Random(seed)
     schedule = Schedule(seed=seed, rb_delay=rng.randint(1, 5),
                         tob_delay=rng.randint(3, 8),
@@ -69,7 +70,7 @@ def random_log_run(seed, max_events=8, mode="stable", events=None):
     workload = []
     step = 0
     for i in range(n):
-        step += rng.randint(1, 8)
+        step += rng.randint(1, max_gap)
         kind = rng.choice(["append", "append", "read", "sread"])
         rid = rng.randrange(2)
         if kind == "append":

@@ -1,6 +1,7 @@
 """The witness builders and the checker against their reference versions
 (tests/reference.py), and counts showing the closure and the anchor scan
-are gone from the passing path."""
+are gone from the passing path and that a perceived order re-places only
+the locals of the window in which it differs from ar."""
 
 import random
 
@@ -164,8 +165,54 @@ def test_failing_NCC_takes_one_successor_closure(closures):
     assert len(closures) == 1
 
 
-def test_log_witness_looks_up_each_local_once_per_order(monkeypatch):
-    h, trace, _, _ = random_log_run(3, events=400)
+def large_log_runs():
+    """(label, history, trace, mode): 150-400-event log runs, dense enough
+    that many perceived orders differ from ar.  Each is simulated stable,
+    with its witness built stable, and async (with pending strong events),
+    with its witness built in both modes."""
+    for seed, events, max_gap in ((0, 150, 2), (1, 250, 3), (2, 400, 2)):
+        h, trace, _, _ = random_log_run(seed, events=events, max_gap=max_gap)
+        yield (seed, "stable", "stable"), h, trace, "stable"
+        h, trace, _, _ = random_log_run(seed, mode="async", events=events,
+                                        max_gap=max_gap)
+        for mode in ("stable", "async"):
+            yield (seed, "async", mode), h, trace, mode
+
+
+def test_windowed_orders_and_prefix_masks_match_the_reference_at_scale():
+    differ = pending = 0
+    for label, h, trace, mode in large_log_runs():
+        a = witness.build_log_witness(h, trace, mode)
+        b = reference.build_log_witness(h, trace, mode)
+        assert a.ar == b.ar, label
+        assert a.par == b.par, label
+        assert a.vis == b.vis, label
+        # an order that equals ar is the ar tuple itself
+        assert all(p is a.ar for p in a.par.values() if p == a.ar), label
+        differ += sum(p is not a.ar for p in a.par.values())
+        pending += sum(e.rval.is_pending() for e in h)
+    assert differ > 1000 and pending > 100
+
+
+def window_locals(a, h, trace, e):
+    """The locals ar places in e's window: from the first shared event e's
+    snapshot (without repeats) departs from ar at, up to the shared event
+    after the last one its tail pulls forward."""
+    recs = trace.events
+    shared = [x for x in a.ar if recs[x].req_dot is not None]
+    seen = list(dict.fromkeys(recs[e].trace_snapshot or ()))
+    c = 0
+    while c < len(seen) and seen[c] == shared[c]:
+        c += 1
+    h_ = 1 + max(shared.index(x) for x in seen[c:])
+    lo = a.ar.index(shared[c])
+    hi = a.ar.index(shared[h_]) if h_ < len(shared) else len(a.ar)
+    return sum(recs[x].req_dot is None for x in a.ar[lo:hi])
+
+
+def test_log_witness_looks_up_each_local_once_plus_once_per_window(
+        monkeypatch):
+    h, trace, _, _ = random_log_run(3, events=400, max_gap=2)
     lookups, rb_reads = [], []
     bisect_right, has = witness.bisect_right, Relation.has
     monkeypatch.setattr(witness, "bisect_right",
@@ -175,9 +222,12 @@ def test_log_witness_looks_up_each_local_once_per_order(monkeypatch):
     a = witness.build_log_witness(h, trace)
     local = [e for e in h if trace.events[e.id].req_dot is None]
     returned = sum(1 for e in local if e.return_ts is not None)
-    # ar, and par(e) for every event but the shared strong ones
+    moved = sum(window_locals(a, h, trace, e) for e in a.par
+                if a.par[e] is not a.ar)
+    # ar's locals, then only the locals inside each differing window; the
+    # old count placed every local again for every weak event's par(e)
     orders = 1 + sum(1 for e in h if e in local or e.lvl != STRONG)
-    assert returned > 50
-    assert len(lookups) == orders * returned
+    assert returned > 50 and moved > 0
+    assert len(lookups) == returned + moved < orders * returned / 3
     assert not rb_reads
     assert len(a.history) > 400

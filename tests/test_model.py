@@ -1,8 +1,11 @@
 """Tests for the event-graph primitives."""
 
+import builtins
+
 import pytest
 from hypothesis import given, strategies as st
 
+from actsim import model
 from actsim.model import (AbstractExecution, Event, History, MalformedHistory,
                           OK, OperationLabel, PENDING, Relation, ReturnValue,
                           find_cycle, foldr, happens_before, id_mask,
@@ -169,6 +172,22 @@ def test_execution_requires_a_permutation():
     h = make_history([("a", 0, 1), ("b", 2, 3)])
     with pytest.raises(MalformedHistory):
         AbstractExecution(h, Relation(), [0, 0])
+
+
+def test_execution_validates_every_order_but_the_ar_tuple(monkeypatch):
+    h = make_history([("a", 0, 1), ("b", 2, 3)])
+    with pytest.raises(MalformedHistory):
+        AbstractExecution(h, Relation(), [0, 1], {0: [0, 1], 1: [1, 1]})
+    with pytest.raises(MalformedHistory):
+        AbstractExecution(h, Relation(), (0, 1), {0: (0, 1), 1: (0, 0, 1)})
+    sorts = []
+    monkeypatch.setattr(model, "sorted", lambda seq, **kw: sorts.append(seq)
+                        or builtins.sorted(seq, **kw), raising=False)
+    ar, same = (1, 0), tuple([1, 0])    # equal, but separate objects
+    a = AbstractExecution(h, Relation(), ar, {0: ar, 1: same})
+    # ar itself is sorted once; the equal but separate order is checked too
+    assert a.par[0] is a.ar and a.par[1] is not a.ar
+    assert sorts == [ar, same] and sorts[1] is same
 
 
 def test_execution_par_defaults_to_ar():

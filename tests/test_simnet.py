@@ -4,7 +4,7 @@ import pytest
 
 from actsim import harness, protocols
 from actsim.harness import run_scenario
-from actsim.model import OperationLabel, STRONG, WEAK
+from actsim.model import OperationLabel, STRONG, WEAK, rv_int
 from actsim.protocols import NncReplica, Replica
 from actsim.simnet import (Invoke, Schedule, SimWorld, StepBudgetExceeded,
                            TOB, UnknownReplica, check_act_restrictions)
@@ -263,6 +263,51 @@ def test_digests_equal_those_of_a_from_scratch_render(monkeypatch):
         "ChattyGetReplica", "SlowAddReplica", "MuteSubtractReplica"}
 
 
+def answer_checking(cls, checked):
+    """A subclass of the tentative-log replica `cls` that compares each
+    response with the answer read off its whole log from scratch."""
+
+    class AnswerChecking(cls):
+        def on_invoke(self, event_id, op, level, now_clock):
+            reqs = list(self.committed) + self.tentative
+            eff = super().on_invoke(event_id, op, level, now_clock)
+            for resp in eff.responses:
+                want = reference.mixed_log_answer(op, reqs)
+                assert (resp.trace_snapshot, resp.value) == want
+                checked.append(level)
+            return eff
+
+        def on_deliver(self, kind, msg):
+            eff = super().on_deliver(kind, msg)
+            for resp in eff.responses:
+                # a strong op answers from the committed prefix before it
+                req = msg.payload[1]
+                assert self.committed[-1] is req
+                want = reference.mixed_log_answer(req.op, self.committed[:-1])
+                assert (resp.trace_snapshot, resp.value) == want
+                checked.append(req.level)
+            return eff
+
+    AnswerChecking.__name__ = cls.__name__
+    return AnswerChecking
+
+
+def test_log_answers_equal_those_read_off_the_whole_log(monkeypatch):
+    checked = []
+    for module in (harness, runs):
+        monkeypatch.setattr(module, "MixedLogReplica", answer_checking(
+            protocols.MixedLogReplica, checked))
+    for name in harness.SCENARIOS:
+        for mode in ("stable", "async"):
+            harness.run_scenario(name, mode=mode)
+    scenarios = len(checked)
+    for seed in range(30):
+        runs.random_log_run(seed, mode=("stable", "async")[seed % 2],
+                            events=40, max_gap=1 + seed % 8)
+    assert 0 < scenarios < len(checked)
+    assert checked.count(WEAK) > 500 and checked.count(STRONG) > 100
+
+
 class DigestCountingReplica(NncReplica):
     calls = 0
 
@@ -295,6 +340,23 @@ def test_state_digests_grow_linearly_with_the_steps(monkeypatch):
     # however many steps hash the state afterwards
     assert len(renders) == sum(len(r.known_adds) for r in world.replicas)
     assert len(renders) < len(world.trace.steps)
+
+
+def test_delivered_sets_are_frozen_once_per_change():
+    # replica 1 adds at step 1; replica 0 answers two gets before that add
+    # reaches it and two after
+    workload = [Invoke(1, "w", 1, lab("add", 2), WEAK)]
+    workload += [Invoke(step, "g%d" % step, 0, lab("get"), WEAK)
+                 for step in (2, 3, 20, 21)]
+    world = run_world([NncReplica(i) for i in range(3)], workload,
+                      rb_delay=5, tob_delay=8)
+    early, late = ([world.trace.events[e] for e in pair]
+                   for pair in ((1, 2), (3, 4)))
+    assert early[0].rbdel is early[1].rbdel == frozenset()
+    assert early[0].tobdel is early[1].tobdel == frozenset()
+    assert late[0].rbdel is late[1].rbdel == {0}
+    assert late[0].tobdel is late[1].tobdel == {0}
+    assert [r.rval for r in late] == [rv_int(2)] * 2
 
 
 def test_the_seed_changes_a_run_only_through_jitter():
