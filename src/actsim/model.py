@@ -2,14 +2,13 @@
 
 Everything downstream (RDT evaluation, predicates, witness construction)
 consumes the types defined here.  Relations over event ids are stored as
-per-id successor and predecessor bitmasks (Python ints); total orders are id
-sequences with a position lookup.
+per-id predecessor bitmasks (Python ints); total orders are id sequences.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate
@@ -28,6 +27,36 @@ class MalformedHistory(ValueError):
 
 class UnknownEvent(KeyError):
     pass
+
+
+SCALAR = (str, int, float, bool, None)      # neither a list nor an object
+OP = {"name": str, "args": [SCALAR]}        # an operation label's JSON
+
+
+def _fits(value, shape):
+    if isinstance(shape, list):
+        item, = shape
+        if type(value) is not list:
+            return False
+        if isinstance(item, type):
+            return {*map(type, value)} <= {item}
+        return all(_fits(v, item) for v in value)
+    if isinstance(shape, dict):
+        return type(value) is dict and all(
+            k in value and _fits(value[k], s) for k, s in shape.items())
+    if isinstance(shape, tuple):
+        return any(_fits(value, s) for s in shape)
+    return value is None if shape is None else type(value) is shape
+
+
+def conform(value, shape, what):
+    """value, if it has the JSON shape; raises MalformedHistory naming what
+    otherwise.  A shape is a type (matched exactly, so a bool is no int),
+    None (null), a tuple of alternative shapes, [shape] (a list of such
+    values) or {key: shape} (an object with at least those keys)."""
+    if not _fits(value, shape):
+        raise MalformedHistory("malformed %s" % what)
+    return value
 
 
 @dataclass(frozen=True)
@@ -62,7 +91,7 @@ class ReturnValue:
     @staticmethod
     def from_json(d):
         if d["tag"] == "set":
-            return rv_set(d["value"])
+            return rv_set(conform(d["value"], [SCALAR], "set value"))
         return ReturnValue(d["tag"], d["value"])
 
 
@@ -86,7 +115,7 @@ def rv_set(values):
     return ReturnValue("set", frozenset(values))
 
 
-def _bits(mask):
+def bits(mask):
     """The positions of the set bits of mask, ascending."""
     out = []
     while mask:
@@ -117,7 +146,7 @@ def _transpose(rows):
     out = {}
     for a, m in rows.items():
         bit = 1 << a
-        for b in _bits(m):
+        for b in bits(m):
             out[b] = out.get(b, 0) | bit
     return out
 
@@ -134,119 +163,79 @@ def _warshall(rows):
 
 
 class Relation:
-    """A binary relation over event ids (non-negative ints).
-
-    Each id maps to a successor and a predecessor bitmask: bit b of the
-    successor mask of a (and bit a of the predecessor mask of b) is set iff
-    a -> b.  Empty masks are not stored, so equal relations have equal maps.
-    A relation built from one side (`from_pred_masks`, `transitive_closure`)
-    derives the other by transposition the first time it is read.  Masks
-    enter through `from_pred_masks` and leave through `pred_mask`; only this
-    module reads the maps.
+    """A binary relation over event ids (non-negative ints), held as one map:
+    each id -> the bitmask of its predecessors (bit a of the mask of b is set
+    iff a -> b).  Empty masks are not stored, so equal relations have equal
+    maps.  Masks enter through `from_pred_masks` and leave through
+    `pred_mask`; only this module reads the map.  The few readers that walk
+    successors (`find_cycle`, a violated NCC's support paths) take the
+    `inverse`.
     """
 
-    __slots__ = ("_s", "_p")     # successor / predecessor maps, or None
+    __slots__ = ("_p",)
 
     def __init__(self, edges: Iterable[tuple] = ()):
-        succ, pred = {}, {}
+        pred = {}
         for a, b in edges:
-            succ[a] = succ.get(a, 0) | 1 << b
             pred[b] = pred.get(b, 0) | 1 << a
-        self._s = succ
         self._p = pred
-
-    @classmethod
-    def _of(cls, succ, pred) -> "Relation":
-        rel = cls.__new__(cls)
-        rel._s = None if succ is None else {a: m for a, m in succ.items() if m}
-        rel._p = None if pred is None else {b: m for b, m in pred.items() if m}
-        return rel
 
     @classmethod
     def from_pred_masks(cls, preds) -> "Relation":
         """The relation with a -> b iff bit a of preds[b] is set."""
-        return cls._of(None, preds)
-
-    @property
-    def _succ(self):
-        if self._s is None:
-            self._s = _transpose(self._p)
-        return self._s
-
-    @property
-    def _pred(self):
-        if self._p is None:
-            self._p = _transpose(self._s)
-        return self._p
-
-    def _rows(self):
-        """Whichever map is stored."""
-        return self._s if self._s is not None else self._p
+        rel = cls.__new__(cls)
+        rel._p = {b: m for b, m in preds.items() if m}
+        return rel
 
     @property
     def edges(self):
-        return frozenset((a, b) for a, m in self._succ.items()
-                         for b in _bits(m))
+        return frozenset((a, b) for b, m in self._p.items() for a in bits(m))
 
     def has(self, a, b):
-        if self._s is not None:
-            return bool(self._s.get(a, 0) >> b & 1)
         return bool(self._p.get(b, 0) >> a & 1)
 
-    def succ(self, a):
-        return frozenset(_bits(self._succ.get(a, 0)))
-
-    def pred(self, a):
-        return frozenset(_bits(self._pred.get(a, 0)))
+    def pred(self, b):
+        return frozenset(bits(self._p.get(b, 0)))
 
     def pred_mask(self, b) -> int:
         """The predecessors of b as a bitmask."""
-        return self._pred.get(b, 0)
+        return self._p.get(b, 0)
 
     def preds_in(self, b, seq) -> tuple:
         """The predecessors of b in the order seq lists them."""
-        bits = bin(self._pred.get(b, 0))[:1:-1]    # bits[a] == "1" iff a -> b
-        n = len(bits)
-        return tuple(x for x in seq if x < n and bits[x] == "1")
+        flags = bin(self._p.get(b, 0))[:1:-1]   # flags[a] == "1" iff a -> b
+        n = len(flags)
+        return tuple(x for x in seq if x < n and flags[x] == "1")
+
+    def inverse(self) -> "Relation":
+        """The relation with b -> a iff a -> b."""
+        return Relation.from_pred_masks(_transpose(self._p))
 
     def union(self, other: "Relation") -> "Relation":
-        """Unites the sides both relations store (predecessors if none)."""
-        succ = pred = None
-        if self._s is not None and other._s is not None:
-            succ = _or(self._s, other._s)
-        if self._p is not None and other._p is not None or succ is None:
-            pred = _or(self._pred, other._pred)
-        return Relation._of(succ, pred)
+        return Relation.from_pred_masks(_or(self._p, other._p))
 
     def nodes(self):
-        if self._s is not None and self._p is not None:
-            return set(self._s) | set(self._p)
-        rows = self._rows()
-        return set(rows) | set(_bits(reduce(or_, rows.values(), 0)))
+        return set(self._p) | set(bits(reduce(or_, self._p.values(), 0)))
 
     def induced(self, ids) -> "Relation":
         """The edges with both ends in ids: one mask AND per node."""
         keep = id_mask(ids)
-
-        def cut(rows):
-            if rows is None:
-                return None
-            return {a: m & keep for a, m in rows.items() if keep >> a & 1}
-        return Relation._of(cut(self._s), cut(self._p))
+        return Relation.from_pred_masks(
+            {b: m & keep for b, m in self._p.items() if keep >> b & 1})
 
     def transitive_closure(self) -> "Relation":
-        """The closure's successor side; its predecessors are derived only
-        if something reads them."""
-        return Relation._of(_warshall(self._succ), None)
+        """The closure, by Warshall's algorithm on the predecessor masks
+        (the closure of the inverse is the inverse of the closure)."""
+        return Relation.from_pred_masks(_warshall(self._p))
 
     def __len__(self):
-        return sum(m.bit_count() for m in self._rows().values())
+        return sum(m.bit_count() for m in self._p.values())
 
     def __eq__(self, other):
-        return isinstance(other, Relation) and self._succ == other._succ
+        return isinstance(other, Relation) and self._p == other._p
 
     def __hash__(self):
-        return hash(frozenset(self._succ.items()))
+        return hash(frozenset(self._p.items()))
 
     def __repr__(self):
         return "Relation(%r)" % sorted(self.edges)
@@ -254,19 +243,27 @@ class Relation:
 
 def is_acyclic(rel: Relation) -> bool:
     """True iff no event reaches itself through rel+."""
-    return find_cycle(rel) is None
+    return _first_cycle(rel._p) is None
 
 
 def find_cycle(rel: Relation):
     """Return one cycle as a list of event ids, or None if the relation is
     acyclic.  Depth-first search from each unvisited id in ascending order,
     trying successors in ascending order, so the cycle found is fixed."""
+    return _first_cycle(_transpose(rel._p))
+
+
+def _first_cycle(adj):
+    """The first cycle a depth-first search over the adjacency masks adj
+    meets, from each unvisited id in ascending order and trying neighbours
+    in ascending order; None if there is none.  An id with no neighbours
+    lies on no cycle, so only the ids adj names are roots."""
     done = 0  # ids whose search has finished
-    for root in sorted(rel.nodes()):
+    for root in sorted(adj):
         if done >> root & 1:
             continue
         path, on_path = [root], 1 << root
-        untried = [rel._succ.get(root, 0)]  # per path entry
+        untried = [adj[root]]  # per path entry
         while path:
             rest = untried[-1] & ~done
             if not rest:
@@ -282,7 +279,7 @@ def find_cycle(rel: Relation):
                 return path[path.index(m):] + [m]
             path.append(m)
             on_path |= low
-            untried.append(rel._succ.get(m, 0))
+            untried.append(adj.get(m, 0))
     return None
 
 
@@ -298,12 +295,12 @@ def on_cycle(rel: Relation, ids) -> bool:
     stack are read when an id finishes, which yields the same roots as
     reading them one at a time.
     """
-    adj = rel._pred
+    adj = rel._p
     targets = id_mask(ids)
     visited = 0
     stack = []      # Tarjan's stack
     prefix = [0]    # prefix[i]: the mask of stack[:i]
-    for root in _bits(targets):
+    for root in bits(targets):
         if visited >> root & 1:
             continue
         visited |= 1 << root
@@ -395,29 +392,23 @@ class History:
 
     @cached_property
     def rb(self) -> Relation:
-        by_invoke = sorted(self.events, key=lambda e: e.invoke_ts)
         by_return = sorted((e for e in self.events if e.return_ts is not None),
                            key=lambda e: e.return_ts)
-        starts = [e.invoke_ts for e in by_invoke]
         ends = [e.return_ts for e in by_return]
-        # invoked_from[i]: ids of by_invoke[i:]; returned[i]: of by_return[:i]
-        invoked_from = list(accumulate(
-            (1 << e.id for e in reversed(by_invoke)), or_, initial=0))[::-1]
+        # returned[i]: the ids of by_return[:i]
         returned = list(accumulate((1 << e.id for e in by_return), or_,
                                    initial=0))
-        succ = {a.id: invoked_from[bisect_right(starts, a.return_ts)]
-                & ~(1 << a.id) for a in by_return}
-        pred = {b.id: returned[bisect_left(ends, b.invoke_ts)] & ~(1 << b.id)
-                for b in self.events}
-        return Relation._of(succ, pred)
+        return Relation.from_pred_masks(
+            {b.id: returned[bisect_left(ends, b.invoke_ts)] & ~(1 << b.id)
+             for b in self.events})
 
     @cached_property
     def ss(self) -> Relation:
         sessions = {}
         for e in self.events:
             sessions[e.client] = sessions.get(e.client, 0) | 1 << e.id
-        masks = {e.id: sessions[e.client] & ~(1 << e.id) for e in self.events}
-        return Relation._of(masks, masks)
+        return Relation.from_pred_masks(
+            {e.id: sessions[e.client] & ~(1 << e.id) for e in self.events})
 
     @cached_property
     def op(self):
@@ -487,11 +478,12 @@ class History:
     @staticmethod
     def from_jsonl(text: str) -> "History":
         events = []
-        for line in text.splitlines():
+        for n, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
+            rec = conform(json.loads(line), HISTORY_LINE,
+                          "history line %d" % n)
             events.append(Event(
                 id=rec["id"],
                 op=OperationLabel(rec["op"]["name"], tuple(rec["op"]["args"])),
@@ -504,10 +496,13 @@ class History:
         return History(events)
 
 
+HISTORY_LINE = {"id": int, "op": OP, "rval": {"tag": str}, "lvl": str,
+                "client": str, "invoke_ts": int, "return_ts": (int, None)}
+
+
 def session_order(h: History) -> Relation:
     """so = rb n ss."""
-    rb, ss = h.rb, h.ss
-    return Relation._of(_and(rb._succ, ss._succ), _and(rb._pred, ss._pred))
+    return Relation.from_pred_masks(_and(h.rb._p, h.ss._p))
 
 
 class AbstractExecution:
@@ -536,7 +531,6 @@ class AbstractExecution:
         self.ar = tuple(ar)
         if sorted(self.ar) != history.ids():
             raise MalformedHistory("ar must be a permutation of the event ids")
-        self._ar_pos = {e: i for i, e in enumerate(self.ar)}
         if par is None:
             par = {e.id: self.ar for e in history}
         self.par = {eid: tuple(seq) for eid, seq in par.items()}
@@ -547,21 +541,17 @@ class AbstractExecution:
             if seq is not self.ar and sorted(seq) != ids:
                 raise MalformedHistory("par(%d) must be a permutation" % eid)
 
-    def ar_before(self, a, b):
-        return self._ar_pos[a] < self._ar_pos[b]
-
-    def ar_against_vis(self, ids):
-        """For each event y of ids, in ar order: (y, the events arbitrated
-        before y that y does not see, the events y sees that are not
-        arbitrated before it), each ascending.  One running prefix mask of
-        ar replaces a set per event."""
+    def ar_against(self, rel: Relation, ids):
+        """For each event y of ids, in ar order: (y, the mask of the events
+        arbitrated before y, the mask of y's predecessors in rel).  One
+        running prefix mask of ar serves every event, so a check compares
+        masks and decodes only the bits it reports."""
         want = set(ids)
         out = []
         before = 0
         for y in self.ar:
             if y in want:
-                seen = self.vis.pred_mask(y)
-                out.append((y, _bits(before & ~seen), _bits(seen & ~before)))
+                out.append((y, before, rel.pred_mask(y)))
             before |= 1 << y
         return out
 
@@ -588,10 +578,11 @@ class AbstractExecution:
 
     @staticmethod
     def from_json(history: History, d) -> "AbstractExecution":
+        conform(d, {"ar": [int], "vis": list, "par": dict}, "witness")
         ar = tuple(d["ar"])
         par = {}
         for k, v in d["par"].items():
-            par[int(k)] = ar if v == "ar" else list(v)
+            par[int(k)] = ar if v == "ar" else conform(v, [int], "par(%s)" % k)
         try:
             vis = Relation(tuple(e) for e in d["vis"])
         except (TypeError, ValueError):

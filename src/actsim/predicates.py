@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .model import (AbstractExecution, Relation, find_cycle, happens_before,
-                    on_cycle, session_order)
+from .model import (AbstractExecution, Relation, bits, find_cycle,
+                    happens_before, id_mask, on_cycle, session_order)
 from .rdt import RdtSpec, context_of, fcontext_of
 
 HOLDS = "holds"
@@ -103,11 +103,12 @@ def check_NCC(a: AbstractExecution, l: str) -> PredicateReport:
 
 def _path_nodes(rel: Relation, src, dst):
     """Nodes on one shortest rel-path from src to dst (BFS)."""
+    succ = rel.inverse()
     frontier = [[src]]
     seen = {src}
     while frontier:
         path = frontier.pop(0)
-        for m in sorted(rel.succ(path[-1])):
+        for m in bits(succ.pred_mask(path[-1])):
             if m == dst:
                 return set(path + [m])
             if m not in seen:
@@ -162,37 +163,47 @@ def check_CPar(a: AbstractExecution, l: str, hz: HorizonConfig) -> PredicateRepo
 def check_SinOrd(a: AbstractExecution, l: str) -> PredicateReport:
     """vis into level-l events equals arbitration, modulo some set of pending
     events (resolved constructively: exactly the mismatching pending ones)."""
-    L = a.history.level_events(l)
-    pending = {e.id for e in a.history if e.rval.is_pending()}
-    invisible, unordered = [], []
-    for y, unseen, early in a.ar_against_vis(L):
-        invisible += [(x, y) for x in unseen]
-        unordered += [(x, y) for x in early]
-    excluded = {x for x, _ in invisible if x in pending}
-    overlap = [(x, y) for y in L for x in excluded
-               if a.ar_before(x, y) and a.vis.has(x, y)]
+    pending = id_mask(e.id for e in a.history if e.rval.is_pending())
+    walk = a.ar_against(a.vis, a.history.level_events(l))
+    excluded = 0
+    for _, before, seen in walk:
+        excluded |= before & ~seen & pending
     bad = [(x, y, "completed event arbitrated before but invisible")
-           for x, y in sorted(invisible) if x not in pending]
+           for x, y in _pairs((y, before & ~seen & ~pending)
+                              for y, before, seen in walk)]
     # edges removed by E' x E must not survive in vis, and vis must not
     # order against ar
     bad += [(x, y, "visible but arbitrated after")
-            for x, y in sorted(unordered)]
+            for x, y in _pairs((y, seen & ~before)
+                               for y, before, seen in walk)]
     bad += [(x, y, "pending event both excluded and visible")
-            for x, y in sorted(overlap)]
+            for x, y in _pairs((y, before & seen & excluded)
+                               for y, before, seen in walk)]
     if bad:
         return PredicateReport("SinOrd", l, VIOLATED, tuple(bad))
     return PredicateReport("SinOrd", l, HOLDS,
-                           (tuple(sorted(excluded)),) if excluded else ())
+                           (tuple(bits(excluded)),) if excluded else ())
+
+
+def _pairs(rows):
+    """The pairs (x, y), ascending, for each (y, mask) of rows and each x in
+    the mask."""
+    return sorted((x, y) for y, mask in rows for x in bits(mask))
+
+
+def _against_ar(a, rel, ids):
+    """The edges x -> y of rel into ids whose x is not arbitrated before y,
+    ascending."""
+    return _pairs((y, preds & ~before)
+                  for y, before, preds in a.ar_against(rel, ids))
 
 
 def check_SessArb(a: AbstractExecution, l: str) -> PredicateReport:
     """so edges ending in level-l events are respected by arbitration."""
-    L = set(a.history.level_events(l))
+    L = a.history.level_events(l)
     if not L:
         return PredicateReport("SessArb", l, VACUOUS)
-    so = session_order(a.history)
-    bad = [(x, y) for x in a.history.ids() for y in sorted(so.succ(x) & L)
-           if not a.ar_before(x, y)]
+    bad = _against_ar(a, session_order(a.history), L)
     if bad:
         return PredicateReport("SessArb", l, VIOLATED, tuple(bad))
     return PredicateReport("SessArb", l, HOLDS)
@@ -200,12 +211,10 @@ def check_SessArb(a: AbstractExecution, l: str) -> PredicateReport:
 
 def check_RT(a: AbstractExecution, l: str) -> PredicateReport:
     """rb between level-l events is respected by arbitration."""
-    L = set(a.history.level_events(l))
+    L = a.history.level_events(l)
     if not L:
         return PredicateReport("RT", l, VACUOUS)
-    rb = a.history.rb.induced(L)
-    bad = [(x, y) for x in sorted(L) for y in sorted(rb.succ(x))
-           if not a.ar_before(x, y)]
+    bad = _against_ar(a, a.history.rb.induced(L), L)
     if bad:
         return PredicateReport("RT", l, VIOLATED, tuple(bad))
     return PredicateReport("RT", l, HOLDS)

@@ -12,8 +12,9 @@ replica's state once per step: the digest before a step is the one recorded
 after that replica's previous step.  Nor is the state rendered afresh for
 the hash: each replica keeps its state's text current as the state changes
 (see `protocols`), so hashing costs one sha256 over that text plus Python
-work proportional to what the step changed.  Delivery sets, dot lookups and
-TOB positions are kept as the run goes, so no step rescans the run so far.
+work proportional to what the step changed.  Delivered sets (one event
+mask per replica for RB and one for TOB), dot lookups and TOB positions are
+kept as the run goes, so no step rescans the run so far.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .model import OperationLabel, ReturnValue
+from .model import (OP, SCALAR, OperationLabel, ReturnValue, bits, conform,
+                    id_mask)
 from .predicates import HOLDS, VIOLATED, PredicateReport
 
 RB = "RB"
@@ -139,8 +141,8 @@ class EventRecord:
     return_step: Optional[int] = None
     rval: Optional[ReturnValue] = None
     tobno: Optional[int] = None
-    rbdel: frozenset = frozenset()     # events whose RB message was delivered
-    tobdel: frozenset = frozenset()    # events whose TOB message was delivered
+    rbdel: int = 0      # mask of the events whose RB message was delivered
+    tobdel: int = 0     # mask of the events whose TOB message was delivered
     trace_snapshot: Optional[tuple] = None   # event ids, in state-object trace order
     essential_edges: tuple = ()
 
@@ -171,8 +173,8 @@ class ProtocolTrace:
                 "return_step": r.return_step,
                 "rval": r.rval.to_json() if r.rval is not None else None,
                 "tobno": r.tobno,
-                "rbdel": sorted(r.rbdel),
-                "tobdel": sorted(r.tobdel),
+                "rbdel": bits(r.rbdel),
+                "tobdel": bits(r.tobdel),
                 "trace_snapshot": (list(r.trace_snapshot)
                                    if r.trace_snapshot is not None else None),
                 "essential_edges": [list(e) for e in r.essential_edges],
@@ -187,8 +189,10 @@ class ProtocolTrace:
 
     @staticmethod
     def from_json(d):
+        conform(d, {"protocol": str, "events": dict, "steps": list}, "trace")
         trace = ProtocolTrace(protocol=d["protocol"])
         for k, r in d["events"].items():
+            conform(r, TRACE_EVENT, "trace event %s" % k)
             trace.events[int(k)] = EventRecord(
                 event_id=int(k),
                 replica=r["replica"],
@@ -202,13 +206,16 @@ class ProtocolTrace:
                 rval=(ReturnValue.from_json(r["rval"])
                       if r["rval"] is not None else None),
                 tobno=r["tobno"],
-                rbdel=frozenset(r["rbdel"]),
-                tobdel=frozenset(r["tobdel"]),
+                rbdel=id_mask(r["rbdel"]),
+                tobdel=id_mask(r["tobdel"]),
                 trace_snapshot=(tuple(r["trace_snapshot"])
                                 if r["trace_snapshot"] is not None else None),
                 essential_edges=tuple(tuple(e) for e in r["essential_edges"]),
             )
-        for s in d["steps"]:
+        for i, s in enumerate(d["steps"]):
+            conform(s, TRACE_STEP, "trace step %d" % i)
+            conform(list(s["detail"].values()), [SCALAR],
+                    "detail of trace step %d" % i)
             trace.steps.append(StepRecord(
                 step=s["step"], replica=s["replica"], kind=s["kind"],
                 detail=s["detail"], hash_before=s["hash_before"],
@@ -225,6 +232,18 @@ class ProtocolTrace:
                            rec.hash_before, rec.hash_after, rec.casts,
                            rec.responses)).encode())
         return h.hexdigest()
+
+
+TRACE_EVENT = {
+    "replica": int, "op": OP, "level": str, "local_ro": bool, "client": str,
+    "invoke_step": int, "req_dot": ([int], None), "return_step": (int, None),
+    "rval": ({"tag": str}, None), "tobno": (int, None), "rbdel": [int],
+    "tobdel": [int], "trace_snapshot": ([int], None),
+    "essential_edges": [[int]]}
+TRACE_STEP = {
+    "step": int, "replica": (int, None), "kind": str, "detail": dict,
+    "hash_before": str, "hash_after": str, "casts": [[SCALAR]],
+    "responses": [int], "passive_after": bool}
 
 
 # scheduler priority classes: a replica drains internal work before new
@@ -260,12 +279,9 @@ class SimWorld:
         self._tob_pos = {}             # TOB msg id -> position in the total order
         self.tob_pointer = [0] * len(self.replicas)
         self.tob_no = {}               # msg id -> dense delivery number
-        # per replica: events whose RB / TOB message it has delivered
-        self._rbdel = [set() for _ in self.replicas]
-        self._tobdel = [set() for _ in self.replicas]
-        # per replica: those sets frozen, until the next delivery changes them
-        self._rbdel_frozen = [frozenset()] * len(self.replicas)
-        self._tobdel_frozen = [frozenset()] * len(self.replicas)
+        # per replica: the mask of events whose RB / TOB message it delivered
+        self._rbdel = [0] * len(self.replicas)
+        self._tobdel = [0] * len(self.replicas)
         self._event_of_dot = {}        # req dot -> event id
         self._digest = [None] * len(self.replicas)  # last hash_after
         self.withheld = set()          # msg ids never delivered anywhere
@@ -361,20 +377,21 @@ class SimWorld:
             self._push(ready, CLASS_DELIVER, dest, ("tob", mid, dest))
 
     def _flush_local(self):
-        """Apply queued same-step local deliveries, after the causing record."""
+        """Apply queued same-step local deliveries, after the causing record:
+        a replica's own RB message reaches it in the step it casts."""
         while self._pending_local:
             msg, dest = self._pending_local.pop(0)
-            self._deliver_local(msg, dest)
+            self._deliver(dest, msg,
+                          {"msg": msg.id, "kind": msg.kind, "local": True})
 
-    def _deliver_local(self, msg, dest):
-        """A replica's own RB message reaches it in the same step it casts."""
+    def _deliver(self, dest, msg, detail):
+        """Deliver msg at dest and record the step with detail."""
         before = self._digest_before(dest)
         effects = self.replicas[dest].on_deliver(msg.kind, msg)
         self._note_delivered(dest, msg)
         casts, resps = self._apply_effects(dest, effects)
-        self._record(dest, "deliver",
-                     {"msg": msg.id, "kind": msg.kind, "local": True},
-                     before, casts, resps)
+        self._record(dest, "deliver", detail, before, casts, resps)
+        return True
 
     def _jitter(self):
         if self.schedule.jitter <= 0:
@@ -388,20 +405,9 @@ class SimWorld:
         if ev is None:
             return
         if msg.kind == RB:
-            self._rbdel[dest].add(ev)
-            self._rbdel_frozen[dest] = None
+            self._rbdel[dest] |= 1 << ev
         elif msg.kind == TOB:
-            self._tobdel[dest].add(ev)
-            self._tobdel_frozen[dest] = None
-
-    def _delivered(self, rid):
-        """The events whose RB and whose TOB message rid has delivered, as
-        frozensets, frozen once per change."""
-        if self._rbdel_frozen[rid] is None:
-            self._rbdel_frozen[rid] = frozenset(self._rbdel[rid])
-        if self._tobdel_frozen[rid] is None:
-            self._tobdel_frozen[rid] = frozenset(self._tobdel[rid])
-        return self._rbdel_frozen[rid], self._tobdel_frozen[rid]
+            self._tobdel[dest] |= 1 << ev
 
     def _digest_before(self, rid):
         digest = self._digest[rid]
@@ -421,7 +427,7 @@ class SimWorld:
                 continue
             rec.return_step = self.now
             rec.rval = resp.value
-            rec.rbdel, rec.tobdel = self._delivered(rid)
+            rec.rbdel, rec.tobdel = self._rbdel[rid], self._tobdel[rid]
             event_of = self._event_of_dot
             if resp.trace_snapshot is not None:
                 try:
@@ -463,9 +469,10 @@ class SimWorld:
     # -- the step loop -------------------------------------------------
 
     def step(self, step_limit=None):
-        """Record one step and return True, popping deferred and dropped
-        actions on the way; return False, recording nothing, when no action
-        is left or, with a step_limit, the next is ready only after it."""
+        """Record one step, and the local deliveries it queued, and return
+        True, popping deferred and dropped actions on the way; return False,
+        recording nothing, when no action is left or, with a step_limit, the
+        next is ready only after it."""
         self._refresh_internal()
         heap = self._heap
         if step_limit is not None and heap and heap[0][0] > step_limit:
@@ -474,6 +481,7 @@ class SimWorld:
             ready, klass, rid, seq, action = heapq.heappop(heap)
             self.now = max(self.now + 1, ready)
             if self._dispatch(action, rid):
+                self._flush_local()
                 return True
         return False
 
@@ -519,21 +527,13 @@ class SimWorld:
             self._client_waiting[client] = True
         else:
             self._schedule_next_invoke(client)
-        self._flush_local()
         return True
 
     def _do_deliver(self, mid, dest):
         msg = self.messages[mid]
         if not self._same_block(msg.origin, dest):
             return self._defer_past_partition(("deliver", mid, dest))
-        before = self._digest_before(dest)
-        effects = self.replicas[dest].on_deliver(msg.kind, msg)
-        self._note_delivered(dest, msg)
-        casts, resps = self._apply_effects(dest, effects)
-        self._record(dest, "deliver", {"msg": mid, "kind": msg.kind},
-                     before, casts, resps)
-        self._flush_local()
-        return True
+        return self._deliver(dest, msg, {"msg": mid, "kind": msg.kind})
 
     def _do_tob(self, mid, dest):
         msg = self.messages[mid]
@@ -551,15 +551,8 @@ class SimWorld:
             if ev is not None:
                 self.trace.events[ev].tobno = self.tob_no[mid]
         self.tob_pointer[dest] = idx + 1
-        before = self._digest_before(dest)
-        effects = self.replicas[dest].on_deliver(TOB, msg)
-        self._note_delivered(dest, msg)
-        casts, resps = self._apply_effects(dest, effects)
-        self._record(dest, "deliver", {"msg": mid, "kind": TOB,
-                                       "tobno": self.tob_no[mid]},
-                     before, casts, resps)
-        self._flush_local()
-        return True
+        return self._deliver(dest, msg, {"msg": mid, "kind": TOB,
+                                         "tobno": self.tob_no[mid]})
 
     def _defer_past_partition(self, action):
         """Retry a blocked delivery once the partition changes, or else
@@ -581,7 +574,6 @@ class SimWorld:
         effects = rep.on_internal()
         casts, resps = self._apply_effects(rid, effects)
         self._record(rid, "internal", {}, before, casts, resps)
-        self._flush_local()
         return True
 
     def run_to_quiescence(self, max_steps=100000):

@@ -133,8 +133,7 @@ def build_nnc_witness(history: History, trace: ProtocolTrace,
     for e2, name in names.items():
         if name == "get":
             rec = recs[e2]
-            preds[e2] |= (id_mask(rec.tobdel) & updater_mask
-                          | id_mask(rec.rbdel) & add_mask
+            preds[e2] |= (rec.tobdel & updater_mask | rec.rbdel & add_mask
                           | rb.pred_mask(e2) & get_mask)
         elif name == "add":
             preds[e2] |= rb.pred_mask(e2)

@@ -1,15 +1,17 @@
 """Reference implementations the checker, the witness builders and the
 replicas are compared with: the pair-set witness builders with their linear
-anchor scan, the closure-based NCC check and the set-based SinOrd check, as
-they were before the builders moved to bisection and masks and NCC to one
-strongly connected components pass; each replica's state rendered from
+anchor scan, the closure-based NCC check, the set-based SinOrd check and the
+pair-loop RT and SessArb checks, as they were before the builders moved to
+bisection and masks, NCC to one strongly connected components pass and the
+arbitration checks to one walk along ar; each replica's state rendered from
 scratch, as it was before replicas kept their state text current; and a
 tentative-log replica's answer read off its whole log, as it was before the
 replica kept its committed dots and text."""
 
-from actsim.model import (OK, STRONG, AbstractExecution, Relation,
+from actsim.model import (OK, STRONG, AbstractExecution, Relation, bits,
                           find_cycle, rv_str, session_order)
-from actsim.predicates import HOLDS, VIOLATED, PredicateReport, _path_nodes
+from actsim.predicates import (HOLDS, VACUOUS, VIOLATED, PredicateReport,
+                               _path_nodes)
 from actsim.protocols import (ClassicLogReplica, MixedLogReplica, NncReplica,
                               RedBlueReplica)
 
@@ -65,9 +67,10 @@ def build_nnc_witness(history, trace, mode="stable"):
     for e2, name in names.items():
         if name == "get":
             rec = recs[e2]
-            edges.update((e, e2) for e in rec.tobdel
+            edges.update((e, e2) for e in bits(rec.tobdel)
                          if names[e] in ("add", "subtract"))
-            edges.update((e, e2) for e in rec.rbdel if names[e] == "add")
+            edges.update((e, e2) for e in bits(rec.rbdel)
+                         if names[e] == "add")
             edges.update((e, e2) for e in rb.pred(e2) if names[e] == "get")
         elif name == "add":
             edges.update((e, e2) for e in rb.pred(e2))
@@ -163,6 +166,36 @@ def check_SinOrd(a, l):
         return PredicateReport("SinOrd", l, VIOLATED, tuple(bad))
     return PredicateReport("SinOrd", l, HOLDS,
                            (tuple(sorted(excluded)),) if excluded else ())
+
+
+def ar_before(a, x, y):
+    return a.ar.index(x) < a.ar.index(y)
+
+
+def check_SessArb(a, l):
+    """SessArb testing every so edge into a level-l event on its own."""
+    L = set(a.history.level_events(l))
+    if not L:
+        return PredicateReport("SessArb", l, VACUOUS)
+    succ = session_order(a.history).inverse()   # succ.pred(x): x's successors
+    bad = [(x, y) for x in a.history.ids() for y in sorted(succ.pred(x) & L)
+           if not ar_before(a, x, y)]
+    if bad:
+        return PredicateReport("SessArb", l, VIOLATED, tuple(bad))
+    return PredicateReport("SessArb", l, HOLDS)
+
+
+def check_RT(a, l):
+    """RT testing every rb edge between level-l events on its own."""
+    L = set(a.history.level_events(l))
+    if not L:
+        return PredicateReport("RT", l, VACUOUS)
+    succ = a.history.rb.induced(L).inverse()
+    bad = [(x, y) for x in sorted(L) for y in sorted(succ.pred(x))
+           if not ar_before(a, x, y)]
+    if bad:
+        return PredicateReport("RT", l, VIOLATED, tuple(bad))
+    return PredicateReport("RT", l, HOLDS)
 
 
 # -- replica states, rendered from scratch -------------------------------

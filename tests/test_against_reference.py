@@ -4,6 +4,7 @@ are gone from the passing path and that a perceived order re-places only
 the locals of the window in which it differs from ar."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,7 +13,8 @@ from actsim import model, witness
 from actsim.harness import SCENARIOS, run_scenario
 from actsim.model import (AbstractExecution, Event, History, OK,
                           OperationLabel, Relation, STRONG, WEAK)
-from actsim.predicates import PREDICATES, check_NCC, check_composite
+from actsim.predicates import (PREDICATES, VIOLATED, check_NCC, check_RT,
+                               check_SessArb, check_SinOrd, check_composite)
 from actsim.rdt import F_NNC, F_SEQ
 from runs import random_counter_run, random_log_run
 
@@ -47,14 +49,23 @@ def with_extra_edges(a, rng, k=3):
                              a.par)
 
 
+def with_swapped_ar(a, rng, k=3):
+    """a with k random adjacent pairs of ar swapped in turn."""
+    ar = list(a.ar)
+    for _ in range(k if len(ar) > 1 else 0):
+        i = rng.randrange(len(ar) - 1)
+        ar[i], ar[i + 1] = ar[i + 1], ar[i]
+    return AbstractExecution(a.history, a.vis, ar, a.par)
+
+
 def reference_reports(a, spec, hz, monkeypatch):
-    """Every level's NCC and BEC/FEC/Lin report, with NCC and SinOrd taken
-    from the references."""
+    """Every level's NCC and BEC/FEC/Lin/Seq report, with NCC, SinOrd, RT
+    and SessArb taken from the references."""
     with monkeypatch.context() as m:
-        m.setitem(PREDICATES, "NCC",
-                  lambda a, l, spec, hz: reference.check_NCC(a, l))
-        m.setitem(PREDICATES, "SinOrd",
-                  lambda a, l, spec, hz: reference.check_SinOrd(a, l))
+        for name in ("NCC", "SinOrd", "RT", "SessArb"):
+            m.setitem(PREDICATES, name,
+                      lambda a, l, spec, hz, check=getattr(
+                          reference, "check_" + name): check(a, l))
         return reports(a, spec, hz)
 
 
@@ -63,7 +74,7 @@ def reports(a, spec, hz):
     for l in (WEAK, STRONG):
         out.append(PREDICATES["NCC"](a, l, spec, hz).to_json())
         out += [check_composite(a, c, l, spec, hz).to_json()
-                for c in ("BEC", "FEC", "Lin")]
+                for c in ("BEC", "FEC", "Lin", "Seq")]
     return out
 
 
@@ -83,13 +94,34 @@ def test_reports_match_the_closure_based_checks(monkeypatch):
     violated = 0
     for label, h, trace, build, _, mode, spec, hz in runs_with_witnesses():
         a = build(h, trace, mode)
-        for x in (a, with_extra_edges(a, rng)):
+        for x in (a, with_extra_edges(a, rng), with_swapped_ar(a, rng)):
             got = reports(x, spec, hz)
             fresh = AbstractExecution(x.history, x.vis, x.ar, x.par)
             assert got == reference_reports(fresh, spec, hz, monkeypatch), \
                 label
-            violated += sum(r["verdict"] == "violated" for r in got[::4])
+            violated += sum(r["verdict"] == "violated" for r in got[::5])
     assert violated > 0     # some extra edges close a causal cycle
+
+
+def test_arbitration_checks_match_the_pair_loops():
+    """SinOrd, RT and SessArb against the references on the random runs, as
+    built, with a few adjacent ar pairs swapped and with ar shuffled by as
+    many swaps as it has events, so that every check is violated often."""
+    rng = random.Random(1)
+    checks = ((check_SinOrd, reference.check_SinOrd),
+              (check_RT, reference.check_RT),
+              (check_SessArb, reference.check_SessArb))
+    violated = Counter()
+    for label, h, trace, build, _, mode, _, _ in runs_with_witnesses():
+        a = build(h, trace, mode)
+        for x in (a, with_swapped_ar(a, rng),
+                  with_swapped_ar(a, rng, len(a.ar))):
+            for l in (WEAK, STRONG):
+                for check, ref in checks:
+                    got = check(x, l)
+                    assert got == ref(x, l), (label, check.__name__, l)
+                    violated[check.__name__] += got.verdict == VIOLATED
+    assert len(violated) == 3 and min(violated.values()) > 20, violated
 
 
 def two_level_history():

@@ -196,28 +196,80 @@ def test_cli_reports_input_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("vis_edge, par_key", [
-    ([0, 99], None),    # endpoint past the last event
-    ([-1, 0], None),    # negative id
-    ([3, 3], None),     # self-loop
-    (None, "77"),       # perceived order of an event that does not exist
-], ids=["vis-unknown-event", "vis-negative-id", "vis-self-loop",
-        "par-unknown-event"])
-def test_cli_check_rejects_malformed_witnesses(tmp_path, capsys, vis_edge,
-                                               par_key):
+MALFORMED_WITNESSES = {
+    # endpoint past the last event
+    "vis-unknown-event": lambda w: w["vis"].append([0, 99]),
+    "vis-negative-id": lambda w: w["vis"].append([-1, 0]),
+    "vis-self-loop": lambda w: w["vis"].append([3, 3]),
+    # perceived order of an event that does not exist
+    "par-unknown-event": lambda w: w["par"].update({"77": "ar"}),
+    "ar-string-id": lambda w: w["ar"].__setitem__(1, "x"),
+    "ar-null": lambda w: w.update(ar=None),
+    "par-not-an-order": lambda w: w.update(par={"0": 5}),
+    "root-a-list": lambda w: [w],
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_WITNESSES)
+def test_cli_check_rejects_malformed_witnesses(tmp_path, capsys, case):
     out = tmp_path / "art"
     main(["run", "annc-stable", "--out", str(out)])
     witness = json.loads((out / "witness-counter.json").read_text())
-    if vis_edge is not None:
-        witness["vis"].append(vis_edge)
-    if par_key is not None:
-        witness["par"][par_key] = "ar"
+    witness = MALFORMED_WITNESSES[case](witness) or witness
     bad = tmp_path / "bad-witness.json"
     bad.write_text(json.dumps(witness))
     code = main(["check", str(out / "history.jsonl"), str(bad),
                  "--predicate", "BEC", "--level", "weak", "--rdt", "f_nnc"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+MISTYPED_HISTORY_LINES = {
+    "invoke-ts-string": lambda rec: rec.update(invoke_ts="0"),
+    "id-string": lambda rec: rec.update(id="0"),
+    "args-not-a-list": lambda rec: rec.update(op={"name": "add", "args": 5}),
+    "line-a-list": lambda rec: [1, 2],
+}
+
+
+@pytest.mark.parametrize("case", MISTYPED_HISTORY_LINES)
+def test_cli_check_and_brute_reject_mistyped_history_lines(tmp_path, capsys,
+                                                          case):
+    for scenario, argv in (
+            ("annc-stable", ["check", "witness-counter.json", "--predicate",
+                             "BEC", "--level", "weak", "--rdt", "f_nnc"]),
+            ("impossibility", ["brute", "--target", "Lin", "--level",
+                               "strong", "--rdt", "f_seq"])):
+        out = tmp_path / scenario
+        main(["run", scenario, "--out", str(out)])
+        lines = (out / "history.jsonl").read_text().splitlines()
+        rec = json.loads(lines[0])
+        lines[0] = json.dumps(MISTYPED_HISTORY_LINES[case](rec) or rec)
+        bad = out / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        args = [argv[0], str(bad)] + [str(out / a) if a.endswith(".json")
+                                      else a for a in argv[1:]]
+        assert main(args) == 2, argv[0]
+        assert "malformed history line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where, field, value", [
+    ("steps", "casts", 5),
+    ("events", "rbdel", None),
+])
+def test_cli_lint_rejects_mistyped_traces(tmp_path, capsys, where, field,
+                                          value):
+    out = tmp_path / "art"
+    main(["run", "annc-stable", "--out", str(out)])
+    trace = json.loads((out / "trace.json").read_text())
+    entry = trace["steps"][0] if where == "steps" else trace["events"]["0"]
+    entry[field] = value
+    bad = tmp_path / "bad-trace.json"
+    bad.write_text(json.dumps(trace))
+    capsys.readouterr()
+    assert main(["lint", str(bad)]) == 2
+    assert "malformed trace" in capsys.readouterr().err
 
 
 # -- pinned scenario outputs -------------------------------------------------

@@ -64,11 +64,18 @@ def test_relation_from_pred_masks_matches_its_edges(rel):
     assert r.union(rel) == rel and r.induced([1, 2, 3]) == rel.induced([1, 2, 3])
 
 
+@given(edges_st)
+def test_inverse_is_an_involution_that_swaps_edges(rel):
+    inv = rel.inverse()
+    assert inv.edges == {(b, a) for a, b in rel.edges}
+    assert inv.inverse() == rel and len(inv) == len(rel)
+
+
 def test_relation_union_restrict():
     r = Relation([(0, 1), (1, 2)])
     s = Relation([(2, 3)])
     assert r.union(s).edges == {(0, 1), (1, 2), (2, 3)}
-    assert r.succ(0) == frozenset({1})
+    assert r.inverse().pred(0) == frozenset({1})    # the successors of 0
     assert r.pred(2) == frozenset({1})
 
 
@@ -193,8 +200,7 @@ def test_execution_validates_every_order_but_the_ar_tuple(monkeypatch):
 def test_execution_par_defaults_to_ar():
     h = make_history([("a", 0, 1), ("b", 2, 3)])
     a = AbstractExecution(h, Relation([(0, 1)]), [1, 0])
-    assert a.par[0] == a.ar and a.par[1] == a.ar
-    assert a.ar_before(1, 0)
+    assert a.par[0] == a.ar == (1, 0) and a.par[1] == a.ar
 
 
 def test_execution_json_round_trip():

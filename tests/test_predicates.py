@@ -151,6 +151,10 @@ def test_SinOrd_excludes_only_pending_events():
     # an excluded event must not be selectively visible
     b = AbstractExecution(h, Relation([(0, 1), (0, 2), (1, 2)]), [0, 2, 1])
     assert check_SinOrd(b, "strong").verdict == VIOLATED
+    # a pending event that every later event sees is not excluded
+    c = AbstractExecution(h, Relation([(0, 1), (0, 2), (1, 2)]), [0, 1, 2])
+    rep = check_SinOrd(c, "strong")
+    assert rep.verdict == HOLDS and rep.counterexample == ()
 
 
 def test_SessArb_and_RT_respect_orderings():

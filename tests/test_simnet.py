@@ -1,13 +1,16 @@
 """Tests for the deterministic scheduler and the implementation-rule lints."""
 
+import json
+
 import pytest
 
 from actsim import harness, protocols
 from actsim.harness import run_scenario
 from actsim.model import OperationLabel, STRONG, WEAK, rv_int
 from actsim.protocols import NncReplica, Replica
-from actsim.simnet import (Invoke, Schedule, SimWorld, StepBudgetExceeded,
-                           TOB, UnknownReplica, check_act_restrictions)
+from actsim.simnet import (Invoke, ProtocolTrace, Schedule, SimWorld,
+                           StepBudgetExceeded, TOB, UnknownReplica,
+                           check_act_restrictions)
 import reference
 import runs
 from runs import random_counter_run
@@ -342,7 +345,7 @@ def test_state_digests_grow_linearly_with_the_steps(monkeypatch):
     assert len(renders) < len(world.trace.steps)
 
 
-def test_delivered_sets_are_frozen_once_per_change():
+def test_delivered_sets_are_masks_of_the_delivered_events():
     # replica 1 adds at step 1; replica 0 answers two gets before that add
     # reaches it and two after
     workload = [Invoke(1, "w", 1, lab("add", 2), WEAK)]
@@ -352,11 +355,18 @@ def test_delivered_sets_are_frozen_once_per_change():
                       rb_delay=5, tob_delay=8)
     early, late = ([world.trace.events[e] for e in pair]
                    for pair in ((1, 2), (3, 4)))
-    assert early[0].rbdel is early[1].rbdel == frozenset()
-    assert early[0].tobdel is early[1].tobdel == frozenset()
-    assert late[0].rbdel is late[1].rbdel == {0}
-    assert late[0].tobdel is late[1].tobdel == {0}
+    assert early[0].rbdel == early[1].rbdel == 0
+    assert early[0].tobdel == early[1].tobdel == 0
+    assert late[0].rbdel == late[1].rbdel == 1 << 0
+    assert late[0].tobdel == late[1].tobdel == 1 << 0
     assert [r.rval for r in late] == [rv_int(2)] * 2
+    # the trace lists each mask's events, ascending, and reads them back
+    events = world.trace.to_json()["events"]
+    assert events["3"]["rbdel"] == events["3"]["tobdel"] == [0]
+    assert events["1"]["rbdel"] == []
+    back = ProtocolTrace.from_json(json.loads(json.dumps(
+        world.trace.to_json())))
+    assert back.events[3].rbdel == 1 and back.events[1].tobdel == 0
 
 
 def test_the_seed_changes_a_run_only_through_jitter():
