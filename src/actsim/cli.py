@@ -8,7 +8,8 @@ Subcommands:
   list-scenarios       print the scenario names
 
 Exit status: 0 when everything checked holds, 1 when something is violated
-or unsatisfiable, 2 on malformed input.
+or unsatisfiable, 2 on malformed input (including, for check and brute, an
+operation the data type does not define or an argument of the wrong type).
 """
 
 from __future__ import annotations
@@ -67,9 +68,10 @@ def cmd_run(args):
 
 def cmd_check(args):
     history = _load_history(args.history)
+    spec = RDTS[args.rdt]
+    spec.check_history(history)
     with open(args.witness) as f:
         a = AbstractExecution.from_json(history, json.load(f))
-    spec = RDTS[args.rdt]
     hz = _horizon(args, history)
     if args.predicate not in PREDICATES and args.predicate not in COMPOSITES:
         print("unknown predicate: %s" % args.predicate, file=sys.stderr)
@@ -86,6 +88,7 @@ def cmd_check(args):
 def cmd_brute(args):
     history = _load_history(args.history)
     spec = RDTS[args.rdt]
+    spec.check_history(history)
     hz = _horizon(args, history)
     result = brute_force_witness(history, args.target, args.level, spec, hz)
     print("satisfiable: %s" % result.satisfiable)

@@ -11,8 +11,8 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import accumulate
-from operator import or_
+from itertools import accumulate, compress, count
+from operator import ne, or_
 from typing import Callable, Iterable, Optional
 
 WEAK = "weak"
@@ -33,19 +33,20 @@ SCALAR = (str, int, float, bool, None)      # neither a list nor an object
 OP = {"name": str, "args": [SCALAR]}        # an operation label's JSON
 
 
-def _fits(value, shape):
+def fits(value, shape):
+    """True iff value has the JSON shape (see `conform`)."""
     if isinstance(shape, list):
         item, = shape
         if type(value) is not list:
             return False
         if isinstance(item, type):
             return {*map(type, value)} <= {item}
-        return all(_fits(v, item) for v in value)
+        return all(fits(v, item) for v in value)
     if isinstance(shape, dict):
         return type(value) is dict and all(
-            k in value and _fits(value[k], s) for k, s in shape.items())
+            k in value and fits(value[k], s) for k, s in shape.items())
     if isinstance(shape, tuple):
-        return any(_fits(value, s) for s in shape)
+        return any(fits(value, s) for s in shape)
     return value is None if shape is None else type(value) is shape
 
 
@@ -54,7 +55,7 @@ def conform(value, shape, what):
     otherwise.  A shape is a type (matched exactly, so a bool is no int),
     None (null), a tuple of alternative shapes, [shape] (a list of such
     values) or {key: shape} (an object with at least those keys)."""
-    if not _fits(value, shape):
+    if not fits(value, shape):
         raise MalformedHistory("malformed %s" % what)
     return value
 
@@ -128,6 +129,14 @@ def bits(mask):
 def id_mask(ids) -> int:
     """The bitmask with bit i set for each i in ids."""
     return reduce(or_, map((1).__lshift__, ids), 0)
+
+
+def common_prefix(xs, ys) -> int:
+    """The length of the longest common prefix of xs and ys, found at C
+    speed (at once when they are one object)."""
+    if xs is ys:
+        return len(xs)
+    return next(compress(count(), map(ne, xs, ys)), min(len(xs), len(ys)))
 
 
 def _or(x, y):

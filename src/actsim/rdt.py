@@ -5,15 +5,27 @@ types plus context extraction from abstract executions.  Evaluation is pure
 and isomorphism-invariant: a context carries only the carrier's event ids in
 a total order, their labels, and the visibility relation (read only between
 carrier events).
+
+The counter and the sequence are defined once each, as a left fold over the
+context's labels in its order: an initial state, a step over one label, and
+an answer from (op, state).  `RdtSpec.evaluate` folds a materialised context
+with them, and the return-value checks (predicates.py) fold the same steps
+along ar and resume from ar's fold states.  The multi-value register is no
+fold over an order, since its answer reads vis between writes, so it is
+evaluated on the materialised context alone.  Each type also declares the
+shapes of its operations' arguments, which `RdtSpec.check_history` enforces
+before anything is evaluated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Optional
 
-from .model import (OK, AbstractExecution, EventId, OperationLabel, Relation,
-                    ReturnValue, UnknownEvent, WEAK, STRONG, foldr, rv_bool,
-                    rv_int, rv_set, rv_str)
+from .model import (OK, SCALAR, AbstractExecution, EventId, OperationLabel,
+                    Relation, ReturnValue, UnknownEvent, WEAK, STRONG, fits,
+                    foldr, rv_bool, rv_int, rv_set, rv_str)
 
 
 class BadOperation(ValueError):
@@ -34,7 +46,8 @@ class OperationContext:
     vis: Relation  # read only on pairs of carrier events
 
 
-def _make_context(a: AbstractExecution, e: EventId, order_seq) -> OperationContext:
+def context_in(a: AbstractExecution, e: EventId, order_seq) -> OperationContext:
+    """(vis^-1(e), op, vis, order_seq): e's context in the order order_seq."""
     if e not in a.history._by_id:
         raise UnknownEvent(e)
     order = a.vis.preds_in(e, order_seq)
@@ -44,23 +57,31 @@ def _make_context(a: AbstractExecution, e: EventId, order_seq) -> OperationConte
 
 def context_of(a: AbstractExecution, e: EventId) -> OperationContext:
     """context(A,e) = (vis^-1(e), op, vis, ar)."""
-    return _make_context(a, e, a.ar)
+    return context_in(a, e, a.ar)
+
+
+def par_of(a: AbstractExecution, e: EventId):
+    """par(e); raises MissingPar when the execution gives e none."""
+    if e not in a.par:
+        raise MissingPar(e)
+    return a.par[e]
 
 
 def fcontext_of(a: AbstractExecution, e: EventId) -> OperationContext:
     """fcontext(A,e) = (vis^-1(e), op, vis, par(e))."""
-    if e not in a.par:
-        raise MissingPar(e)
-    return _make_context(a, e, a.par[e])
+    return context_in(a, e, par_of(a, e))
 
 
-def eval_fseq(op: OperationLabel, c: OperationContext) -> ReturnValue:
-    if op.name == "append":
-        return OK
-    if op.name == "read":
-        parts = [lab.args[0] for lab in c.labels if lab.name == "append"]
-        return rv_str("".join(parts))
-    raise BadOperation(op.name)
+def f_seq(acc, lab: OperationLabel):
+    if lab.name == "append":
+        return acc + lab.args[0]
+    if lab.name == "read":
+        return acc
+    raise BadOperation(lab.name)
+
+
+def seq_answer(op: OperationLabel, text) -> ReturnValue:
+    return rv_str(text) if op.name == "read" else OK
 
 
 def eval_fmvr(op: OperationLabel, c: OperationContext) -> ReturnValue:
@@ -86,32 +107,73 @@ def f_nnc(acc, lab: OperationLabel):
     raise BadOperation(lab.name)
 
 
-def eval_fnnc(op: OperationLabel, c: OperationContext) -> ReturnValue:
-    if op.name == "add":
-        return OK
-    total = foldr(0, f_nnc, c.labels)
+def nnc_answer(op: OperationLabel, total) -> ReturnValue:
     if op.name == "get":
         return rv_int(total)
     if op.name == "subtract":
         return rv_bool(total >= op.args[0])
-    raise BadOperation(op.name)
+    return OK
 
 
 @dataclass(frozen=True)
 class RdtSpec:
+    """A data type: its operations with the shapes of their arguments, and
+    F, either as a left fold (init, step, answer) over the context's labels
+    in its order or, for a type that is no such fold, as a function of the
+    whole context."""
+
     name: str
-    ops: frozenset
-    _eval: object = field(repr=False, default=None)
+    signature: tuple  # (op name, (a `model.fits` shape per argument)), ...
+    init: object = None
+    step: Optional[Callable] = None     # (state, label) -> state
+    answer: Optional[Callable] = None   # (op, state) -> return value
+    _eval: Optional[Callable] = None    # (op, context) -> return value
+
+    @cached_property
+    def ops(self) -> frozenset:
+        return frozenset(name for name, _ in self.signature)
+
+    def known(self, op: OperationLabel) -> OperationLabel:
+        """op, if it is an operation of this type; raises BadOperation
+        otherwise."""
+        if op.name not in self.ops:
+            raise BadOperation("%s is not an operation of %s"
+                               % (op.name, self.name))
+        return op
 
     def evaluate(self, op: OperationLabel, c: OperationContext) -> ReturnValue:
-        if op.name not in self.ops:
-            raise BadOperation("%s is not an operation of %s" % (op.name, self.name))
-        return self._eval(op, c)
+        """F(op, c), on the materialised context c."""
+        if self.step is None:
+            return self._eval(self.known(op), c)
+        return self.answer(self.known(op),
+                           foldr(self.init, self.step, c.labels))
+
+    def check_history(self, h):
+        """True if every event runs an operation of this type with arguments
+        of its shapes; raises BadOperation naming the first event that does
+        not."""
+        shapes = dict(self.signature)
+        for e in h:
+            want = shapes.get(e.op.name)
+            if want is None:
+                raise BadOperation("event %d runs %s, which is not an "
+                                   "operation of %s"
+                                   % (e.id, e.op.name, self.name))
+            if (len(e.op.args) != len(want)
+                    or not all(map(fits, e.op.args, want))):
+                raise BadOperation(
+                    "event %d runs %s, but %s takes %s(%s)"
+                    % (e.id, e.op, self.name, e.op.name, ", ".join(
+                        getattr(s, "__name__", "scalar") for s in want)))
+        return True
 
 
-F_SEQ = RdtSpec("f_seq", frozenset({"append", "read"}), eval_fseq)
-F_MVR = RdtSpec("f_mvr", frozenset({"write", "read"}), eval_fmvr)
-F_NNC = RdtSpec("f_nnc", frozenset({"add", "subtract", "get"}), eval_fnnc)
+F_SEQ = RdtSpec("f_seq", (("append", (str,)), ("read", ())),
+                init="", step=f_seq, answer=seq_answer)
+F_MVR = RdtSpec("f_mvr", (("write", (SCALAR,)), ("read", ())),
+                _eval=eval_fmvr)
+F_NNC = RdtSpec("f_nnc", (("add", (int,)), ("subtract", (int,)), ("get", ())),
+                init=0, step=f_nnc, answer=nnc_answer)
 
 RDTS = {s.name: s for s in (F_SEQ, F_MVR, F_NNC)}
 
@@ -130,6 +192,10 @@ class ActSpec:
         raise BadOperation(op_name)
 
     def check_history(self, h):
+        """True if h runs only operations of the data type, with arguments
+        of their shapes, each at a level it may run at; raises BadOperation
+        naming an event otherwise."""
+        self.rdt.check_history(h)
         for e in h:
             if e.lvl not in self.levels(e.op.name):
                 raise BadOperation(

@@ -36,13 +36,13 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, compress, count
+from itertools import accumulate, compress
 from math import inf
-from operator import ne, or_
+from operator import or_
 from typing import Optional
 
-from .model import (AbstractExecution, History, Relation, STRONG, id_mask,
-                    is_acyclic)
+from .model import (AbstractExecution, History, Relation, STRONG,
+                    common_prefix, id_mask, is_acyclic)
 from .predicates import HorizonConfig, check_composite
 from .rdt import OperationContext, RdtSpec
 from .simnet import ProtocolTrace
@@ -143,21 +143,16 @@ def build_nnc_witness(history: History, trace: ProtocolTrace,
     return AbstractExecution(history, Relation.from_pred_masks(preds), ar)
 
 
-def _common_prefix(xs, ys):
-    """The length of the longest common prefix of xs and ys."""
-    return next(compress(count(), map(ne, xs, ys)), min(len(xs), len(ys)))
-
-
 def _split_snapshot(snapshot, shared, position):
     """(c, tail) such that snapshot without its repeats is shared[:c] + tail,
     with c as large as can be.  shared lists each event of snapshot once, and
     position maps each of those events to its index in shared."""
-    c = _common_prefix(snapshot, shared)
+    c = common_prefix(snapshot, shared)
     if c == len(snapshot):
         return c, []
     # a repeat in snapshot[c:] repeats an event of the prefix or of the tail
     tail = [x for x in dict.fromkeys(snapshot[c:]) if position[x] >= c]
-    k = _common_prefix(tail, shared[c:c + len(tail)])
+    k = common_prefix(tail, shared[c:c + len(tail)])
     return c + k, tail[k:]
 
 
@@ -355,8 +350,11 @@ def brute_force_witness(history: History, target: str, level: str,
     return BruteResult(None, ars_tried, candidates)
 
 
+_NO_VIS = Relation()
+
+
 def _eval_ordered(spec, op, order, history):
     """F(op) over a context of the events of order, in that order, with no
     visibility among them."""
     labels = tuple(map(history.op.__getitem__, order))
-    return spec.evaluate(op, OperationContext(order, labels, Relation()))
+    return spec.evaluate(op, OperationContext(order, labels, _NO_VIS))

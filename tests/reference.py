@@ -3,17 +3,20 @@ replicas are compared with: the pair-set witness builders with their linear
 anchor scan, the closure-based NCC check, the set-based SinOrd check and the
 pair-loop RT and SessArb checks, as they were before the builders moved to
 bisection and masks, NCC to one strongly connected components pass and the
-arbitration checks to one walk along ar; each replica's state rendered from
-scratch, as it was before replicas kept their state text current; and a
+arbitration checks to one walk along ar; the return-value and CPar checks on
+materialised contexts, as they were before they read each context as an ar
+prefix fold plus a short tail; each replica's state rendered from scratch,
+as it was before replicas kept their state text current; and a
 tentative-log replica's answer read off its whole log, as it was before the
 replica kept its committed dots and text."""
 
 from actsim.model import (OK, STRONG, AbstractExecution, Relation, bits,
                           find_cycle, rv_str, session_order)
 from actsim.predicates import (HOLDS, VACUOUS, VIOLATED, PredicateReport,
-                               _path_nodes)
+                               _path_nodes, _tail_events)
 from actsim.protocols import (ClassicLogReplica, MixedLogReplica, NncReplica,
                               RedBlueReplica)
+from actsim.rdt import context_of, fcontext_of
 
 
 def insert_after_anchor(base, rb, locals_, is_anchor):
@@ -196,6 +199,44 @@ def check_RT(a, l):
     if bad:
         return PredicateReport("RT", l, VIOLATED, tuple(bad))
     return PredicateReport("RT", l, HOLDS)
+
+
+def _check_values(name, a, l, spec, context):
+    """rval(e) = F(op(e), context(A,e)), each context built and folded from
+    scratch."""
+    bad = []
+    for e in a.history:
+        if e.lvl != l:
+            continue
+        if e.rval.is_pending():
+            bad.append((e.id, "pending"))
+            continue
+        got = spec.evaluate(e.op, context(a, e.id))
+        if got != e.rval:
+            bad.append((e.id, "expected %r got %r" % (e.rval, got)))
+    if bad:
+        return PredicateReport(name, l, VIOLATED, tuple(bad))
+    return PredicateReport(name, l, HOLDS)
+
+
+def check_RVal(a, l, spec):
+    return _check_values("RVal", a, l, spec, context_of)
+
+
+def check_FRVal(a, l, spec):
+    return _check_values("FRVal", a, l, spec, fcontext_of)
+
+
+def check_CPar(a, l, hz):
+    """CPar comparing each tail event's whole context along ar and par(e2)."""
+    bad = []
+    for e2 in _tail_events(a, l, hz):
+        by_ar = a.vis.preds_in(e2, a.ar)
+        by_par = a.vis.preds_in(e2, a.par[e2])
+        bad.extend((x, e2) for x, y in zip(by_ar, by_par) if x != y)
+    if bad:
+        return PredicateReport("CPar", l, VIOLATED, tuple(sorted(bad)))
+    return PredicateReport("CPar", l, HOLDS)
 
 
 # -- replica states, rendered from scratch -------------------------------

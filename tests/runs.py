@@ -16,16 +16,17 @@ from actsim.witness import (brute_force_witness, build_log_witness,
 
 
 def random_counter_run(seed, max_events=8, n_replicas=3, probe_count=3,
-                       probe_replicas=None, allow_async=True):
-    """A seeded random counter workload; returns (history, trace, witness,
-    horizon, mode)."""
+                       probe_replicas=None, allow_async=True, events=None):
+    """A seeded random counter workload of `events` invokes (drawn up to
+    max_events when None); returns (history, trace, witness, horizon,
+    mode)."""
     rng = random.Random(seed)
     mode = "async" if allow_async and rng.random() < 0.3 else "stable"
     cutoff = rng.randint(10, 40) if mode == "async" else None
     schedule = Schedule(seed=seed, rb_delay=rng.randint(1, 4),
                         tob_delay=rng.randint(2, 6),
                         jitter=rng.randint(0, 2), tob_cutoff=cutoff)
-    n = rng.randint(1, max_events)
+    n = events or rng.randint(1, max_events)
     workload = []
     step = 0
     for i in range(n):

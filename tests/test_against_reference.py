@@ -13,8 +13,9 @@ from actsim import model, witness
 from actsim.harness import SCENARIOS, run_scenario
 from actsim.model import (AbstractExecution, Event, History, OK,
                           OperationLabel, Relation, STRONG, WEAK)
-from actsim.predicates import (PREDICATES, VIOLATED, check_NCC, check_RT,
-                               check_SessArb, check_SinOrd, check_composite)
+from actsim.predicates import (PREDICATES, VIOLATED, check_CPar, check_FRVal,
+                               check_NCC, check_RT, check_RVal, check_SessArb,
+                               check_SinOrd, check_composite)
 from actsim.rdt import F_NNC, F_SEQ
 from runs import random_counter_run, random_log_run
 
@@ -198,22 +199,22 @@ def test_failing_NCC_takes_one_successor_closure(closures):
 
 
 def large_log_runs():
-    """(label, history, trace, mode): 150-400-event log runs, dense enough
-    that many perceived orders differ from ar.  Each is simulated stable,
-    with its witness built stable, and async (with pending strong events),
-    with its witness built in both modes."""
+    """(label, history, trace, mode, horizon): 150-400-event log runs, dense
+    enough that many perceived orders differ from ar.  Each is simulated
+    stable, with its witness built stable, and async (with pending strong
+    events), with its witness built in both modes."""
     for seed, events, max_gap in ((0, 150, 2), (1, 250, 3), (2, 400, 2)):
-        h, trace, _, _ = random_log_run(seed, events=events, max_gap=max_gap)
-        yield (seed, "stable", "stable"), h, trace, "stable"
-        h, trace, _, _ = random_log_run(seed, mode="async", events=events,
-                                        max_gap=max_gap)
+        h, trace, _, hz = random_log_run(seed, events=events, max_gap=max_gap)
+        yield (seed, "stable", "stable"), h, trace, "stable", hz
+        h, trace, _, hz = random_log_run(seed, mode="async", events=events,
+                                         max_gap=max_gap)
         for mode in ("stable", "async"):
-            yield (seed, "async", mode), h, trace, mode
+            yield (seed, "async", mode), h, trace, mode, hz
 
 
 def test_windowed_orders_and_prefix_masks_match_the_reference_at_scale():
     differ = pending = 0
-    for label, h, trace, mode in large_log_runs():
+    for label, h, trace, mode, _ in large_log_runs():
         a = witness.build_log_witness(h, trace, mode)
         b = reference.build_log_witness(h, trace, mode)
         assert a.ar == b.ar, label
@@ -263,3 +264,57 @@ def test_log_witness_looks_up_each_local_once_plus_once_per_window(
     assert len(lookups) == returned + moved < orders * returned / 3
     assert not rb_reads
     assert len(a.history) > 400
+
+
+def with_dropped_edges(a, rng, k=3):
+    edges = sorted(a.vis.edges)
+    drop = set(rng.sample(edges, min(k, len(edges))))
+    return AbstractExecution(a.history, Relation(set(edges) - drop), a.ar,
+                             a.par)
+
+
+def with_swapped_par(a, rng):
+    """a with one adjacent pair swapped inside one par(e) that differs from
+    ar, past their common prefix; None when every par(e) is ar."""
+    differ = [e for e in sorted(a.par) if a.par[e] != a.ar]
+    if not differ:
+        return None
+    e = rng.choice(differ)
+    order = list(a.par[e])
+    c = next(i for i, (x, y) in enumerate(zip(a.ar, order)) if x != y)
+    i = rng.randrange(c, len(order) - 1)
+    order[i], order[i + 1] = order[i + 1], order[i]
+    return AbstractExecution(a.history, a.vis, a.ar, {**a.par, e: order})
+
+
+def large_value_runs():
+    """(label, witness, rdt, horizon): 150-400-event counter runs (seeds 1
+    and 3 simulate async, with pending subtracts) and the large log runs."""
+    for seed, events in ((0, 150), (1, 250), (2, 400), (3, 300)):
+        _, _, a, hz, mode = random_counter_run(seed, events=events)
+        yield ("counter", seed, mode), a, F_NNC, hz
+    for label, h, trace, mode, hz in large_log_runs():
+        yield (("log",) + label, witness.build_log_witness(h, trace, mode),
+               F_SEQ, hz)
+
+
+def test_value_checks_match_the_materialised_contexts():
+    """RVal, FRVal and CPar against the references, which build and fold
+    every context from scratch, on large runs as built and perturbed: 3
+    adjacent ar pairs swapped, one pair swapped inside a differing par(e),
+    3 vis edges dropped and 3 added."""
+    rng = random.Random(2)
+    violated = Counter()
+    for label, a, spec, hz in large_value_runs():
+        cases = (a, with_swapped_ar(a, rng), with_swapped_par(a, rng),
+                 with_dropped_edges(a, rng), with_extra_edges(a, rng))
+        for x in filter(None, cases):
+            for l in (WEAK, STRONG):
+                got = [check_RVal(x, l, spec), check_FRVal(x, l, spec),
+                       check_CPar(x, l, hz)]
+                assert got == [reference.check_RVal(x, l, spec),
+                               reference.check_FRVal(x, l, spec),
+                               reference.check_CPar(x, l, hz)], (label, l)
+                violated.update(r.predicate for r in got
+                                if r.verdict == VIOLATED)
+    assert min(violated[p] for p in ("RVal", "FRVal", "CPar")) > 20, violated

@@ -254,6 +254,48 @@ def test_cli_check_and_brute_reject_mistyped_history_lines(tmp_path, capsys,
         assert "malformed history line 1" in capsys.readouterr().err
 
 
+# (command, operation, its new arguments): the first event running the
+# operation in the scenario's history gets those arguments
+MISTYPED_OPERATIONS = [
+    ("check", "add", ["x"]),
+    ("check", "add", []),
+    ("check", "add", [1, 2]),
+    ("check", "add", [True]),
+    ("check", "get", [1]),
+    ("brute", "append", [5]),
+    ("brute", "append", []),
+    ("brute", "read", ["x"]),
+]
+
+
+@pytest.mark.parametrize("command, name, args", MISTYPED_OPERATIONS,
+                         ids=["%s-%s%s" % (c, n, json.dumps(a))
+                              for c, n, a in MISTYPED_OPERATIONS])
+def test_cli_check_and_brute_reject_mistyped_operations(tmp_path, capsys,
+                                                        command, name, args):
+    scenario, argv = {
+        "check": ("annc-stable", ["witness-counter.json", "--predicate",
+                                  "BEC", "--level", "weak", "--rdt",
+                                  "f_nnc"]),
+        "brute": ("impossibility", ["--target", "Lin", "--level", "strong",
+                                    "--rdt", "f_seq"]),
+    }[command]
+    out = tmp_path / scenario
+    main(["run", scenario, "--out", str(out)])
+    lines = (out / "history.jsonl").read_text().splitlines()
+    recs = [json.loads(line) for line in lines]
+    rec = next(r for r in recs if r["op"]["name"] == name)
+    rec["op"]["args"] = args
+    bad = out / "bad.jsonl"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    capsys.readouterr()
+    args = [command, str(bad)] + [str(out / a) if a.endswith(".json")
+                                  else a for a in argv]
+    assert main(args) == 2
+    assert "error: event %d runs %s" % (rec["id"], name) in (
+        capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("where, field, value", [
     ("steps", "casts", 5),
     ("events", "rbdel", None),

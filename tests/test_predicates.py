@@ -1,13 +1,15 @@
 """Tests for the level-parametrized predicates."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from actsim.model import (AbstractExecution, Event, History, OK,
-                          OperationLabel, PENDING, Relation, rv_int, rv_str)
+                          OperationLabel, PENDING, Relation, foldr, rv_int,
+                          rv_str)
 from actsim.predicates import (HOLDS, HorizonConfig, VACUOUS, VIOLATED,
-                               check_CPar, check_EV, check_FRVal, check_NCC,
-                               check_RT, check_RVal, check_SessArb,
-                               check_SinOrd, check_composite)
+                               _prefix_fold, check_CPar, check_EV,
+                               check_FRVal, check_NCC, check_RT, check_RVal,
+                               check_SessArb, check_SinOrd, check_composite)
 from actsim.rdt import F_NNC, F_SEQ
 
 
@@ -201,3 +203,35 @@ def test_reports_are_deterministic():
 def test_horizon_rejects_nonpositive_probe_count():
     with pytest.raises(ValueError):
         HorizonConfig(0, tail_probe_count=0)
+
+
+LABELS = {
+    F_NNC: st.one_of(st.integers(1, 5).map(lambda v: lab("add", v)),
+                     st.integers(1, 5).map(lambda v: lab("subtract", v)),
+                     st.just(lab("get"))),
+    F_SEQ: st.one_of(st.sampled_from("abc").map(lambda s: lab("append", s)),
+                     st.just(lab("read"))),
+}
+
+
+@given(st.data())
+def test_prefix_fold_equals_foldr_over_the_materialised_context(data):
+    """For a random ar, random labels and a few (order, mask) queries on one
+    fold, each order sharing a random prefix with ar (or being ar itself),
+    the prefix fold's state is foldr over the mask's events in the order
+    preds_in lists them."""
+    spec = data.draw(st.sampled_from([F_NNC, F_SEQ]))
+    n = data.draw(st.integers(1, 16))
+    ar = tuple(data.draw(st.permutations(range(n))))
+    op = dict(enumerate(data.draw(st.lists(LABELS[spec], min_size=n,
+                                           max_size=n))))
+    fold = _prefix_fold(ar, op, spec)
+    for _ in range(data.draw(st.integers(1, 4))):
+        c = data.draw(st.integers(0, n))
+        order = data.draw(st.one_of(
+            st.just(ar),
+            st.permutations(ar[c:]).map(lambda rest: ar[:c] + tuple(rest))))
+        mask = data.draw(st.integers(0, (1 << n) - 1))
+        carrier = Relation.from_pred_masks({n: mask}).preds_in(n, order)
+        assert fold(order, mask) == foldr(spec.init, spec.step,
+                                          [op[x] for x in carrier])

@@ -8,7 +8,7 @@ from actsim.model import (AbstractExecution, Event, OK, OperationLabel,
                           rv_str)
 from actsim.rdt import (ACT_NNC, BadOperation, F_MVR, F_NNC, F_SEQ,
                         MissingPar, OperationContext, context_of, eval_fmvr,
-                        eval_fnnc, eval_fseq, f_nnc, fcontext_of)
+                        f_nnc, fcontext_of)
 from actsim.model import History
 
 
@@ -25,13 +25,13 @@ def lab(name, *args):
 def test_sequence_read_concatenates_in_context_order():
     c = ctx([lab("append", "a"), lab("append", "b"), lab("read")],
             order=[1, 0, 2])
-    assert eval_fseq(lab("read"), c) == rv_str("ba")
-    assert eval_fseq(lab("append", "z"), c) == OK
+    assert F_SEQ.evaluate(lab("read"), c) == rv_str("ba")
+    assert F_SEQ.evaluate(lab("append", "z"), c) == OK
 
 
 def test_sequence_rejects_unknown_operations():
     with pytest.raises(BadOperation):
-        eval_fseq(lab("pop"), ctx([]))
+        F_SEQ.evaluate(lab("pop"), ctx([]))
 
 
 def test_register_read_returns_vis_maximal_writes():
@@ -49,9 +49,9 @@ def test_counter_fold_skips_unfunded_subtracts():
     seq = [lab("add", 3), lab("subtract", 5), lab("subtract", 2)]
     assert foldr(0, f_nnc, seq) == 1
     c = ctx(seq)
-    assert eval_fnnc(lab("get"), c) == rv_int(1)
-    assert eval_fnnc(lab("subtract", 2), c) == rv_bool(False)
-    assert eval_fnnc(lab("subtract", 1), c) == rv_bool(True)
+    assert F_NNC.evaluate(lab("get"), c) == rv_int(1)
+    assert F_NNC.evaluate(lab("subtract", 2), c) == rv_bool(False)
+    assert F_NNC.evaluate(lab("subtract", 1), c) == rv_bool(True)
 
 
 counter_ops = st.lists(
@@ -76,7 +76,7 @@ def test_counter_eval_is_isomorphism_invariant(ops, shift):
     c1 = ctx(ops)
     ids = [i + shift for i in range(len(ops))]
     c2 = OperationContext(tuple(ids), tuple(ops), Relation())
-    assert eval_fnnc(lab("get"), c1) == eval_fnnc(lab("get"), c2)
+    assert F_NNC.evaluate(lab("get"), c1) == F_NNC.evaluate(lab("get"), c2)
 
 
 def _two_event_execution():
@@ -119,3 +119,9 @@ def test_act_spec_enforces_operation_levels():
     bad = History([Event(0, lab("get"), rv_int(0), "strong", "a", 0, 1)])
     with pytest.raises(BadOperation):
         ACT_NNC.check_history(bad)
+    # the data type's argument shapes are enforced too
+    for args in (("x",), (), (1, 2), (True,)):
+        mistyped = History([Event(0, lab("add", *args), OK, "weak", "a", 0,
+                                  1)])
+        with pytest.raises(BadOperation, match="event 0 runs add"):
+            ACT_NNC.check_history(mistyped)
