@@ -131,6 +131,21 @@ def id_mask(ids) -> int:
     return reduce(or_, map((1).__lshift__, ids), 0)
 
 
+def in_order(order, mask, start=0):
+    """The events of mask in the order `order` lists them from position
+    start on, where it lists them all: a walk that stops once mask is
+    empty."""
+    out = []
+    i = start
+    while mask:
+        x = order[i]
+        if mask >> x & 1:
+            out.append(x)
+            mask ^= 1 << x
+        i += 1
+    return out
+
+
 def common_prefix(xs, ys) -> int:
     """The length of the longest common prefix of xs and ys, found at C
     speed (at once when they are one object)."""
@@ -210,12 +225,6 @@ class Relation:
         """The predecessors of b as a bitmask."""
         return self._p.get(b, 0)
 
-    def preds_in(self, b, seq) -> tuple:
-        """The predecessors of b in the order seq lists them."""
-        flags = bin(self._p.get(b, 0))[:1:-1]   # flags[a] == "1" iff a -> b
-        n = len(flags)
-        return tuple(x for x in seq if x < n and flags[x] == "1")
-
     def inverse(self) -> "Relation":
         """The relation with b -> a iff a -> b."""
         return Relation.from_pred_masks(_transpose(self._p))
@@ -248,11 +257,6 @@ class Relation:
 
     def __repr__(self):
         return "Relation(%r)" % sorted(self.edges)
-
-
-def is_acyclic(rel: Relation) -> bool:
-    """True iff no event reaches itself through rel+."""
-    return _first_cycle(rel._p) is None
 
 
 def find_cycle(rel: Relation):
@@ -565,14 +569,19 @@ class AbstractExecution:
         return out
 
     def restrict(self, ids):
-        """Induced sub-execution over the given ids (re-identified densely)."""
+        """Induced sub-execution over the given ids (re-identified densely).
+        Each kept predecessor mask is renumbered one run of consecutive ids
+        at a time (`_runs`), which drops the bits of the other ids: vis
+        induced on ids."""
         sub, mapping = self.history.subhistory(ids)
-        keep = set(mapping)
-        vis = Relation((mapping[a], mapping[b]) for a, b in self.vis.edges
-                       if a in keep and b in keep)
-        ar = [mapping[e] for e in self.ar if e in keep]
-        par = {mapping[e]: [mapping[x] for x in self.par[e] if x in keep]
-               for e in keep}
+        runs = _runs(mapping)
+        vis = Relation.from_pred_masks(
+            {new: sum((self.vis.pred_mask(old) >> lo & width) << to
+                      for lo, width, to in runs)
+             for old, new in mapping.items()})
+        ar = [mapping[e] for e in self.ar if e in mapping]
+        par = {mapping[e]: [mapping[x] for x in self.par[e] if x in mapping]
+               for e in mapping}
         return AbstractExecution(sub, vis, ar, par)
 
     def to_json(self):
@@ -598,6 +607,19 @@ class AbstractExecution:
             raise MalformedHistory(
                 "vis must be a list of [event id, event id] pairs") from None
         return AbstractExecution(history, vis, ar, par)
+
+
+def _runs(ids):
+    """(first id, the mask of the run's width, its new first id) for each
+    run of consecutive ids in the ascending ids, which are renumbered
+    0, 1, ... in turn."""
+    runs = []
+    for new, old in enumerate(ids):
+        if runs and old == runs[-1][0] + runs[-1][1]:
+            runs[-1][1] += 1
+        else:
+            runs.append([old, 1, new])
+    return [(lo, (1 << n) - 1, to) for lo, n, to in runs]
 
 
 def happens_before(a: AbstractExecution) -> Relation:

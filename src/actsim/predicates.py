@@ -5,14 +5,15 @@ hold exactly for all level-l events at or beyond a configured stabilization
 index (in practice, the first tail-probe event injected after the run
 quiesces).
 
-RVal and FRVal never build a context for a data type whose F is a left fold
-(rdt.py defines each such type's init, step and answer once).  An event's
-context is vis^-1(e) in an order, ar or par(e).  It is split at K, the
-length of the longest prefix of that order which lies within vis^-1(e) and
-which the order shares with ar.  The fold over those K events is ar's fold
-state at K, kept once per check.  Only the events of vis^-1(e) past K are
-folded afresh, walking the order from K until none is left.  CPar likewise
-compares ar and par(e) only past their common prefix.
+RVal and FRVal take each event's context as masks (rdt.py): vis^-1(e) in
+an order, ar or par(e).  For a data type whose F is a left fold (rdt.py
+defines each such type's init, step and answer once) they do not fold the
+context from scratch.  It is split at K, the length of the longest prefix
+of that order which lies within vis^-1(e) and which the order shares with
+ar.  The fold over those K events is ar's fold state at K, kept once per
+check.  Only the events of vis^-1(e) past K are folded afresh, walking the
+order from K until none is left.  CPar likewise compares ar and par(e)
+only past their common prefix.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from operator import or_
 from typing import Optional
 
 from .model import (AbstractExecution, Relation, bits, common_prefix,
-                    find_cycle, foldr, happens_before, id_mask, on_cycle,
-                    session_order)
-from .rdt import RdtSpec, context_in, par_of
+                    find_cycle, foldr, happens_before, id_mask, in_order,
+                    on_cycle, session_order)
+from .rdt import RdtSpec, context_of, fcontext_of
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -130,19 +131,6 @@ def _path_nodes(rel: Relation, src, dst):
     return {src, dst}
 
 
-def _past(order, i, mask):
-    """The events of mask in the order `order` lists them from position i
-    on, where it lists them all: a walk that stops once mask is empty."""
-    out = []
-    while mask:
-        x = order[i]
-        if mask >> x & 1:
-            out.append(x)
-            mask ^= 1 << x
-        i += 1
-    return out
-
-
 def _prefix_fold(ar, op, spec):
     """fold(order, mask): the state spec's fold reaches over op's labels of
     the events of mask, in the order `order` (a permutation of ar) lists
@@ -160,31 +148,29 @@ def _prefix_fold(ar, op, spec):
                         key=lambda m: m & outside != 0) - 1
         while len(states) <= k:
             states.append(step(states[-1], op[ar[len(states) - 1]]))
-        rest = _past(order, k, mask & ~prefix[k])
+        rest = in_order(order, mask & ~prefix[k], k)
         return foldr(states[k], step, map(op.__getitem__, rest))
     return fold
 
 
-def _check_values(name, a, l, spec, order_of):
-    """rval(e) = F(op(e), context) for every level-l event, where the
-    context is vis^-1(e) in the order order_of(a, e).
+def _check_values(name, a, l, spec, context):
+    """rval(e) = F(op(e), context(a, e)) for every level-l event, where
+    context is `context_of` or `fcontext_of`.
 
     A fold type reads each context as ar's fold state at a prefix plus a
-    short tail (`_prefix_fold`); any other type evaluates the materialised
-    context.  A pending level-l event can never match F and counts as a
-    violation.
+    short tail (`_prefix_fold`); any other type is evaluated on the context
+    by `spec.evaluate`.  A pending level-l event can never match F and
+    counts as a violation.
     """
     if spec.step is None:
         def value(e):
-            return spec.evaluate(e.op,
-                                 context_in(a, e.id, order_of(a, e.id)))
+            return spec.evaluate(e.op, context(a, e.id))
     else:
         fold = _prefix_fold(a.ar, a.history.op, spec)
 
         def value(e):
-            order = order_of(a, e.id)
-            return spec.answer(spec.known(e.op),
-                               fold(order, a.vis.pred_mask(e.id)))
+            c = context(a, e.id)
+            return spec.answer(spec.known(e.op), fold(c.order, c.mask))
     bad = []
     for e in a.history:
         if e.lvl != l:
@@ -202,12 +188,12 @@ def _check_values(name, a, l, spec, order_of):
 
 def check_RVal(a: AbstractExecution, l: str, spec: RdtSpec) -> PredicateReport:
     """Return values follow F over context(A,e), ordered by ar."""
-    return _check_values("RVal", a, l, spec, lambda a, e: a.ar)
+    return _check_values("RVal", a, l, spec, context_of)
 
 
 def check_FRVal(a: AbstractExecution, l: str, spec: RdtSpec) -> PredicateReport:
     """Like RVal but the context order follows the perceived arbitration par(e)."""
-    return _check_values("FRVal", a, l, spec, par_of)
+    return _check_values("FRVal", a, l, spec, fcontext_of)
 
 
 def check_CPar(a: AbstractExecution, l: str, hz: HorizonConfig) -> PredicateReport:
@@ -222,8 +208,9 @@ def check_CPar(a: AbstractExecution, l: str, hz: HorizonConfig) -> PredicateRepo
         if c == len(a.ar):
             continue
         rest = a.vis.pred_mask(e2) & ~id_mask(a.ar[:c])
-        bad.extend((x, e2) for x, y in zip(_past(a.ar, c, rest),
-                                           _past(order, c, rest)) if x != y)
+        bad.extend((x, e2) for x, y in zip(in_order(a.ar, rest, c),
+                                           in_order(order, rest, c))
+                   if x != y)
     if bad:
         return PredicateReport("CPar", l, VIOLATED, tuple(sorted(bad)))
     return PredicateReport("CPar", l, HOLDS)

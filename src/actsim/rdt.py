@@ -1,31 +1,34 @@
 """Replicated data type specification functions F(op, context).
 
 Implements the sequence, multi-value register, and non-negative counter
-types plus context extraction from abstract executions.  Evaluation is pure
-and isomorphism-invariant: a context carries only the carrier's event ids in
-a total order, their labels, and the visibility relation (read only between
-carrier events).
+types plus context extraction from abstract executions.  A context is held
+as masks, built in O(1): the carrier vis^-1(e) as a bitmask, an order that
+lists it (ar or par(e)), vis, and the labels by event id.  Evaluation is
+pure and isomorphism-invariant: it reads the carrier's labels in that
+order and vis between carrier events, never the ids themselves.
 
-The counter and the sequence are defined once each, as a left fold over the
-context's labels in its order: an initial state, a step over one label, and
-an answer from (op, state).  `RdtSpec.evaluate` folds a materialised context
-with them, and the return-value checks (predicates.py) fold the same steps
+`RdtSpec.evaluate` is the one entry point, which the return-value checks
+(predicates.py) and the exhaustive search (witness.py) both call.  The
+counter and the sequence are defined once each, as a left fold over the
+carrier's labels in its order: an initial state, a step over one label,
+and an answer from (op, state); the return-value checks fold the same steps
 along ar and resume from ar's fold states.  The multi-value register is no
-fold over an order, since its answer reads vis between writes, so it is
-evaluated on the materialised context alone.  Each type also declares the
-shapes of its operations' arguments, which `RdtSpec.check_history` enforces
-before anything is evaluated.
+fold over an order, since its answer reads vis between writes; it answers
+from the carrier's masks.  Each type also declares the shapes of its
+operations' arguments, which `RdtSpec.check_history` enforces before
+anything is evaluated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Optional
+from functools import cached_property, reduce
+from operator import or_
+from typing import Callable, NamedTuple, Optional
 
 from .model import (OK, SCALAR, AbstractExecution, EventId, OperationLabel,
-                    Relation, ReturnValue, UnknownEvent, WEAK, STRONG, fits,
-                    foldr, rv_bool, rv_int, rv_set, rv_str)
+                    Relation, ReturnValue, UnknownEvent, WEAK, STRONG, bits,
+                    fits, foldr, in_order, rv_bool, rv_int, rv_set, rv_str)
 
 
 class BadOperation(ValueError):
@@ -36,40 +39,33 @@ class MissingPar(KeyError):
     pass
 
 
-@dataclass(frozen=True)
-class OperationContext:
-    """(carrier, op labels, vis, total order over the carrier), held as the
-    carrier in that order, its labels and vis."""
+class OperationContext(NamedTuple):
+    """(vis^-1(e), op, vis, order) as masks: the carrier, an order that lists
+    it, vis and the labels by event id."""
 
-    order: tuple  # the carrier, ascending by ar or par(e)
-    labels: tuple  # labels[i] is the label of order[i]
-    vis: Relation  # read only on pairs of carrier events
+    order: tuple        # lists every event of mask: ar or par(e)
+    mask: int           # the carrier vis^-1(e)
+    vis: Relation       # read only on pairs of carrier events
+    op: dict            # event id -> operation label
 
 
-def context_in(a: AbstractExecution, e: EventId, order_seq) -> OperationContext:
-    """(vis^-1(e), op, vis, order_seq): e's context in the order order_seq."""
+def _context(a: AbstractExecution, e: EventId, order) -> OperationContext:
     if e not in a.history._by_id:
         raise UnknownEvent(e)
-    order = a.vis.preds_in(e, order_seq)
-    return OperationContext(order, tuple(map(a.history.op.__getitem__, order)),
-                            a.vis)
+    return OperationContext(order, a.vis.pred_mask(e), a.vis, a.history.op)
 
 
 def context_of(a: AbstractExecution, e: EventId) -> OperationContext:
     """context(A,e) = (vis^-1(e), op, vis, ar)."""
-    return context_in(a, e, a.ar)
-
-
-def par_of(a: AbstractExecution, e: EventId):
-    """par(e); raises MissingPar when the execution gives e none."""
-    if e not in a.par:
-        raise MissingPar(e)
-    return a.par[e]
+    return _context(a, e, a.ar)
 
 
 def fcontext_of(a: AbstractExecution, e: EventId) -> OperationContext:
-    """fcontext(A,e) = (vis^-1(e), op, vis, par(e))."""
-    return context_in(a, e, par_of(a, e))
+    """fcontext(A,e) = (vis^-1(e), op, vis, par(e)); raises MissingPar when
+    the execution gives e no par(e)."""
+    if e not in a.par:
+        raise MissingPar(e)
+    return _context(a, e, a.par[e])
 
 
 def f_seq(acc, lab: OperationLabel):
@@ -84,16 +80,15 @@ def seq_answer(op: OperationLabel, text) -> ReturnValue:
     return rv_str(text) if op.name == "read" else OK
 
 
-def eval_fmvr(op: OperationLabel, c: OperationContext) -> ReturnValue:
+def f_mvr(op: OperationLabel, c: OperationContext) -> ReturnValue:
+    """A read returns the values of the carrier's writes that no other
+    carrier write sees: with W the carrier's writes, those of
+    W & ~OR(vis^-1(w) & W for w in W)."""
     if op.name == "write":
         return OK
-    if op.name == "read":
-        writes = [(i, lab) for i, lab in zip(c.order, c.labels)
-                  if lab.name == "write"]
-        return rv_set(lab.args[0] for w, lab in writes
-                      if not any(c.vis.has(w, w2) for w2, _ in writes
-                                 if w2 != w))
-    raise BadOperation(op.name)
+    writes = [x for x in bits(c.mask) if c.op[x].name == "write"]
+    seen = reduce(or_, map(c.vis.pred_mask, writes), 0)
+    return rv_set(c.op[w].args[0] for w in writes if not seen >> w & 1)
 
 
 def f_nnc(acc, lab: OperationLabel):
@@ -142,11 +137,11 @@ class RdtSpec:
         return op
 
     def evaluate(self, op: OperationLabel, c: OperationContext) -> ReturnValue:
-        """F(op, c), on the materialised context c."""
+        """F(op, c): a fold type folds the carrier's labels in c's order."""
         if self.step is None:
             return self._eval(self.known(op), c)
-        return self.answer(self.known(op),
-                           foldr(self.init, self.step, c.labels))
+        labels = map(c.op.__getitem__, in_order(c.order, c.mask))
+        return self.answer(self.known(op), foldr(self.init, self.step, labels))
 
     def check_history(self, h):
         """True if every event runs an operation of this type with arguments
@@ -171,7 +166,7 @@ class RdtSpec:
 F_SEQ = RdtSpec("f_seq", (("append", (str,)), ("read", ())),
                 init="", step=f_seq, answer=seq_answer)
 F_MVR = RdtSpec("f_mvr", (("write", (SCALAR,)), ("read", ())),
-                _eval=eval_fmvr)
+                _eval=f_mvr)
 F_NNC = RdtSpec("f_nnc", (("add", (int,)), ("subtract", (int,)), ("get", ())),
                 init=0, step=f_nnc, answer=nnc_answer)
 

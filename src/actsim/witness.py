@@ -41,8 +41,8 @@ from math import inf
 from operator import or_
 from typing import Optional
 
-from .model import (AbstractExecution, History, Relation, STRONG,
-                    common_prefix, id_mask, is_acyclic)
+from .model import (AbstractExecution, History, Relation, STRONG, bits,
+                    common_prefix, id_mask, on_cycle)
 from .predicates import HorizonConfig, check_composite
 from .rdt import OperationContext, RdtSpec
 from .simnet import ProtocolTrace
@@ -254,17 +254,34 @@ class BruteResult:
 ORDER_INSENSITIVE_OPS = {"append", "write", "add"}
 
 
+def _widen(base, pool):
+    """base with each subset of pool's events outside it added, by size
+    and then in itertools.combinations order over ascending ids."""
+    extra = [1 << x for x in bits(pool & ~base)]
+    return [base | sum(s) for n in range(len(extra) + 1)
+            for s in itertools.combinations(extra, n)]
+
+
 def brute_force_witness(history: History, target: str, level: str,
                         spec: RdtSpec, hz: HorizonConfig) -> BruteResult:
     """Search every arbitration / visibility combination for a witness of the
     target predicate at the given level.
 
-    Contexts of order-insensitive updates are shrunk to the forced edges
-    only, which cannot lose witnesses; return-value checks here rely only on
-    the context order, so carriers of value-constrained events are screened
-    independently before composition.  Intended for histories of at most six
-    events.  FEC is refused: perceived arbitration is not enumerated (every
-    par(e) is ar), so an FEC answer would be BEC's.
+    Carriers are predecessor masks.  Each event's carrier starts from the
+    edges EV (and, for Seq and Lin, SinOrd) forces.  Only the return values
+    of level-l events are checked, so the search screens the carriers of
+    those whose value depends on their context (`screened`): a carrier is
+    kept iff F gives the event's return value on it.  The counter and the
+    sequence read only the context's order, so every other carrier can stay
+    at its forced edges: more edges would only add constraints.  F_MVR also
+    reads vis between writes, so each write's carrier ranges over its forced
+    edges plus every subset of the other writes, and the screen reads the
+    vis those write carriers give; for a fold type that outer range has one
+    element.  A candidate is dropped when a level-l event lies on a cycle
+    of vis, which NCC forbids; cycles among other events are kept, as the
+    checker allows them.  Intended for histories of at most six events.
+    FEC is refused: perceived arbitration is not enumerated (every par(e)
+    is ar), so an FEC answer would be BEC's.
     """
     if target == "FEC":
         raise ValueError("brute force search does not enumerate perceived "
@@ -272,89 +289,65 @@ def brute_force_witness(history: History, target: str, level: str,
     ids = history.ids()
     if len(ids) > 6:
         raise ValueError("brute force search is limited to 6 events")
-    rb = history.rb
+    op = history.op
     level_ids = set(history.level_events(level))
-    tail = [e for e in level_ids if e >= hz.stabilization_index]
-    pending = {e.id for e in history if e.rval.is_pending()}
+    pending = [e.id for e in history if e.rval.is_pending()]
     needs_sinord = target in ("Seq", "Lin")
+    fixed = level_ids if needs_sinord else ()   # SinOrd fixes their carriers
+    # EV: a level-l tail event sees every event that returned before it
+    ev = {e: history.rb.pred_mask(e)
+          if e in level_ids and e >= hz.stabilization_index else 0
+          for e in ids}
+    screened = [e for e in sorted(level_ids) if e not in pending
+                and op[e].name not in ORDER_INSENSITIVE_OPS]
+    # the writes whose carriers range (F_MVR reads vis between them), when
+    # some value is screened; a fold type has none
+    writes = ([e for e in ids if op[e].name == "write"]
+              if spec.step is None and screened else [])
+    write_mask, everyone = id_mask(writes), id_mask(ids)
+    excl_choices = ([id_mask(s) for n in range(len(pending) + 1)
+                     for s in itertools.combinations(pending, n)]
+                    if needs_sinord else [0])
 
-    ars_tried = 0
-    candidates = 0
+    ars_tried = candidates = 0
     for ar in itertools.permutations(ids):
         ars_tried += 1
-        ar_pos = {e: i for i, e in enumerate(ar)}
-        excl_choices = ([frozenset(s) for n in range(len(pending) + 1)
-                         for s in itertools.combinations(sorted(pending), n)]
-                        if needs_sinord else [frozenset()])
+        before = dict(zip(ar, accumulate(map((1).__lshift__, ar), or_,
+                                         initial=0)))
         for excluded in excl_choices:
-            forced = {e: set() for e in ids}
-            for e2 in tail:
-                for e in ids:
-                    if e != e2 and rb.has(e, e2):
-                        forced[e2].add(e)
-            fixed_L = True
+            forced = dict(ev)
             if needs_sinord:
-                for e2 in level_ids:
-                    want = {e for e in ids
-                            if ar_pos[e] < ar_pos[e2] and e not in excluded}
-                    if not forced[e2] <= want:
-                        fixed_L = False
-                        break
-                    forced[e2] = want
-            if not fixed_L:
-                continue
-            choices = []
-            ok_prefilter = True
-            for e in ids:
-                ev = history.event(e)
-                base = frozenset(forced[e])
-                constrained = (e in level_ids and e not in pending
-                               and ev.op.name not in ORDER_INSENSITIVE_OPS)
-                if (needs_sinord and e in level_ids) or not constrained:
-                    # only level-l return values are checked, so everything
-                    # else keeps the minimal forced carrier
-                    options = [base]
-                else:
-                    others = [x for x in ids if x != e and x not in base]
-                    options = []
-                    for n in range(len(others) + 1):
-                        for extra in itertools.combinations(others, n):
-                            options.append(base | set(extra))
-                # screen value-constrained events by their context order
-                if constrained:
-                    kept = []
-                    for carrier in options:
-                        order = tuple(x for x in ar if x in carrier)
-                        got = _eval_ordered(spec, ev.op, order, history)
-                        if got == ev.rval:
-                            kept.append(carrier)
-                    options = kept
-                if not options:
-                    ok_prefilter = False
-                    break
-                choices.append((e, options))
-            if not ok_prefilter:
-                continue
-            for combo in itertools.product(*(opts for _, opts in choices)):
-                candidates += 1
-                edges = set()
-                for (e, _), carrier in zip(choices, combo):
-                    edges |= {(x, e) for x in carrier}
-                vis = Relation(edges)
-                if not is_acyclic(vis):
+                # SinOrd: a level-l event sees exactly the events arbitrated
+                # before it, but for the excluded pending ones
+                want = {e: before[e] & ~excluded for e in level_ids}
+                if any(ev[e] & ~want[e] for e in level_ids):
                     continue
-                a = AbstractExecution(history, vis, ar)
-                report = check_composite(a, target, level, spec, hz)
-                if report.ok:
-                    return BruteResult(a, ars_tried, candidates)
+                forced.update(want)
+            outer = [[forced[e]] if e in fixed
+                     else _widen(forced[e], write_mask ^ 1 << e)
+                     for e in writes]
+            for carriers in itertools.product(*outer):
+                vis_w = Relation.from_pred_masks(dict(zip(writes, carriers)))
+                if on_cycle(vis_w, level_ids):
+                    continue
+                choices = {e: [m] for e, m in forced.items()}
+                choices.update((e, [m]) for e, m in zip(writes, carriers))
+                for e in screened:
+                    options = ([forced[e]] if e in fixed
+                               else _widen(forced[e], everyone ^ 1 << e))
+                    want_rval = history.event(e).rval
+                    choices[e] = [m for m in options if spec.evaluate(
+                        op[e], OperationContext(ar, m, vis_w, op))
+                        == want_rval]
+                    if not choices[e]:
+                        break
+                else:
+                    for combo in itertools.product(*map(choices.get, ids)):
+                        candidates += 1
+                        vis = Relation.from_pred_masks(dict(zip(ids, combo)))
+                        if on_cycle(vis, level_ids):
+                            continue
+                        a = AbstractExecution(history, vis, ar)
+                        if check_composite(a, target, level, spec, hz).ok:
+                            return BruteResult(a, ars_tried, candidates)
     return BruteResult(None, ars_tried, candidates)
-
-
-_NO_VIS = Relation()
-
-
-def _eval_ordered(spec, op, order, history):
-    """F(op) over a context of the events of order, in that order, with no
-    visibility among them."""
-    labels = tuple(map(history.op.__getitem__, order))
-    return spec.evaluate(op, OperationContext(order, labels, _NO_VIS))

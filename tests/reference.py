@@ -5,18 +5,21 @@ pair-loop RT and SessArb checks, as they were before the builders moved to
 bisection and masks, NCC to one strongly connected components pass and the
 arbitration checks to one walk along ar; the return-value and CPar checks on
 materialised contexts, as they were before they read each context as an ar
-prefix fold plus a short tail; each replica's state rendered from scratch,
-as it was before replicas kept their state text current; and a
-tentative-log replica's answer read off its whole log, as it was before the
-replica kept its committed dots and text."""
+prefix fold plus a short tail, and the multi-value register's F on a
+materialised context, as it was before it answered from masks; an
+execution's restriction with vis decoded into pairs, as it was before it
+renumbered masks; each replica's state rendered from scratch, as it was
+before replicas kept their state text current; and a tentative-log
+replica's answer read off its whole log, as it was before the replica kept
+its committed dots and text."""
 
 from actsim.model import (OK, STRONG, AbstractExecution, Relation, bits,
-                          find_cycle, rv_str, session_order)
+                          find_cycle, foldr, rv_set, rv_str, session_order)
 from actsim.predicates import (HOLDS, VACUOUS, VIOLATED, PredicateReport,
                                _path_nodes, _tail_events)
 from actsim.protocols import (ClassicLogReplica, MixedLogReplica, NncReplica,
                               RedBlueReplica)
-from actsim.rdt import context_of, fcontext_of
+from actsim.rdt import BadOperation
 
 
 def insert_after_anchor(base, rb, locals_, is_anchor):
@@ -133,6 +136,17 @@ def build_log_witness(history, trace, mode="stable"):
     return AbstractExecution(history, Relation(edges), ar, par)
 
 
+def restrict(a, ids):
+    """The induced sub-execution, its vis decoded into renumbered pairs."""
+    sub, mapping = a.history.subhistory(ids)
+    vis = Relation((mapping[x], mapping[y]) for x, y in a.vis.edges
+                   if x in mapping and y in mapping)
+    ar = [mapping[e] for e in a.ar if e in mapping]
+    par = {mapping[e]: [mapping[x] for x in a.par[e] if x in mapping]
+           for e in mapping}
+    return AbstractExecution(sub, vis, ar, par)
+
+
 def check_NCC(a, l):
     """acyclic(hb n (L x L)), deciding by the closure hb itself."""
     base = session_order(a.history).union(a.vis)
@@ -201,9 +215,37 @@ def check_RT(a, l):
     return PredicateReport("RT", l, HOLDS)
 
 
-def _check_values(name, a, l, spec, context):
-    """rval(e) = F(op(e), context(A,e)), each context built and folded from
-    scratch."""
+def preds_in(rel, b, seq):
+    """The predecessors of b in the order seq lists them."""
+    flags = bin(rel.pred_mask(b))[:1:-1]   # flags[a] == "1" iff a -> b
+    n = len(flags)
+    return tuple(x for x in seq if x < n and flags[x] == "1")
+
+
+def eval_fmvr(op, order, labels, vis):
+    """F_MVR on the context whose carrier is order, with labels[i] the label
+    of order[i]: a read returns the writes no other carrier write sees."""
+    if op.name == "write":
+        return OK
+    if op.name == "read":
+        writes = [(i, lab) for i, lab in zip(order, labels)
+                  if lab.name == "write"]
+        return rv_set(lab.args[0] for w, lab in writes
+                      if not any(vis.has(w, w2) for w2, _ in writes
+                                 if w2 != w))
+    raise BadOperation(op.name)
+
+
+def evaluate(spec, op, order, labels, vis):
+    """F(op) on a materialised context: a fold type folds labels."""
+    if spec.step is None:
+        return eval_fmvr(spec.known(op), order, labels, vis)
+    return spec.answer(spec.known(op), foldr(spec.init, spec.step, labels))
+
+
+def _check_values(name, a, l, spec, order_of):
+    """rval(e) = F(op(e), context(A,e)), each context materialised from
+    vis^-1(e) in the order order_of(a, e) and folded from scratch."""
     bad = []
     for e in a.history:
         if e.lvl != l:
@@ -211,7 +253,9 @@ def _check_values(name, a, l, spec, context):
         if e.rval.is_pending():
             bad.append((e.id, "pending"))
             continue
-        got = spec.evaluate(e.op, context(a, e.id))
+        order = preds_in(a.vis, e.id, order_of(a, e.id))
+        got = evaluate(spec, e.op, order,
+                       tuple(map(a.history.op.__getitem__, order)), a.vis)
         if got != e.rval:
             bad.append((e.id, "expected %r got %r" % (e.rval, got)))
     if bad:
@@ -220,19 +264,19 @@ def _check_values(name, a, l, spec, context):
 
 
 def check_RVal(a, l, spec):
-    return _check_values("RVal", a, l, spec, context_of)
+    return _check_values("RVal", a, l, spec, lambda a, e: a.ar)
 
 
 def check_FRVal(a, l, spec):
-    return _check_values("FRVal", a, l, spec, fcontext_of)
+    return _check_values("FRVal", a, l, spec, lambda a, e: a.par[e])
 
 
 def check_CPar(a, l, hz):
     """CPar comparing each tail event's whole context along ar and par(e2)."""
     bad = []
     for e2 in _tail_events(a, l, hz):
-        by_ar = a.vis.preds_in(e2, a.ar)
-        by_par = a.vis.preds_in(e2, a.par[e2])
+        by_ar = preds_in(a.vis, e2, a.ar)
+        by_par = preds_in(a.vis, e2, a.par[e2])
         bad.extend((x, e2) for x, y in zip(by_ar, by_par) if x != y)
     if bad:
         return PredicateReport("CPar", l, VIOLATED, tuple(sorted(bad)))

@@ -1,15 +1,17 @@
 """Seeded random counter and log runs for the property and acceptance
-tests, and the tiny counter runs on which the witness builder is compared
-with exhaustive search."""
+tests, the tiny counter runs on which the witness builder is compared
+with exhaustive search, and random abstract executions of each data type
+drawn without a simulator."""
 
 import random
 from dataclasses import replace
 
 from actsim.harness import history_of, inject_probes
-from actsim.model import OperationLabel as op, STRONG, WEAK
+from actsim.model import (PENDING, AbstractExecution, Event, History,
+                          OperationLabel as op, Relation, STRONG, WEAK)
 from actsim.predicates import HorizonConfig, check_composite
 from actsim.protocols import MixedLogReplica, NncReplica
-from actsim.rdt import F_NNC
+from actsim.rdt import F_MVR, F_NNC, F_SEQ, context_of
 from actsim.simnet import Invoke, Schedule, SimWorld
 from actsim.witness import (brute_force_witness, build_log_witness,
                             build_nnc_witness)
@@ -103,3 +105,65 @@ def agreement_case(seed):
     built = check_composite(a, "BEC", WEAK, F_NNC, hz)
     brute = brute_force_witness(history, "BEC", WEAK, F_NNC, hz)
     return built.ok, brute.satisfiable, history, a
+
+
+# the operations random_execution draws from, per data type
+OPS = {
+    F_NNC: (op("add", (1,)), op("add", (2,)), op("subtract", (1,)),
+            op("subtract", (2,)), op("get"), op("get")),
+    F_SEQ: (op("append", ("a",)), op("append", ("b",)), op("read"),
+            op("read")),
+    F_MVR: (op("write", (1,)), op("write", (2,)), op("write", (3,)),
+            op("read"), op("read")),
+}
+
+
+def random_execution(rng, spec, n):
+    """A random abstract execution of n events of spec, drawn from rng.
+
+    Events get random operations, levels and clients (two or three), and
+    intervals that overlap at random but never within a client; the last
+    event of one client may stay pending.  vis is acyclic: its edges go
+    forward along a random order, or along invoke order with rb added.  ar
+    is that order or a random permutation, and in one execution of four
+    vis into each event is exactly what ar puts before it.  Each complete
+    event returns what F gives on its context, so RVal holds at both
+    levels.
+    """
+    clients = "abc"[:rng.randint(2, 3)]
+    free, events, t = {}, [], 0
+    for i in range(n):
+        client = rng.choice(clients)
+        t += rng.randint(0, 2)
+        start = max(t, free.get(client, -1) + 1)
+        free[client] = end = start + rng.randint(0, 3)
+        events.append([i, rng.choice(OPS[spec]), rng.choice((WEAK, STRONG)),
+                       client, start, end])
+    if rng.random() < 0.25:
+        last = {ev[3]: ev for ev in events}
+        last[rng.choice(sorted(last))][5] = None
+    history = History(Event(i, lab, PENDING, lvl, client, start, end)
+                      for i, lab, lvl, client, start, end in events)
+    ids = history.ids()
+    by_invoke = rng.random() < 0.5
+    order = (sorted(ids, key=lambda e: (events[e][4], e)) if by_invoke
+             else rng.sample(ids, n))
+    ar = order if rng.random() < 0.5 else rng.sample(ids, n)
+    preds, before = {}, 0
+    for e in order:
+        preds[e] = before & rng.getrandbits(n)
+        if by_invoke and rng.random() < 0.5:
+            preds[e] |= history.rb.pred_mask(e)
+        before |= 1 << e
+    if rng.random() < 0.25:
+        before = 0
+        for e in ar:
+            preds[e], before = before, before | 1 << e
+    vis = Relation.from_pred_masks(preds)
+    a = AbstractExecution(history, vis, ar)
+    history = History(
+        e if e.return_ts is None else Event(
+            e.id, e.op, spec.evaluate(e.op, context_of(a, e.id)), e.lvl,
+            e.client, e.invoke_ts, e.return_ts)
+        for e in history)
+    return AbstractExecution(history, vis, ar)

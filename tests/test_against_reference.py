@@ -16,8 +16,8 @@ from actsim.model import (AbstractExecution, Event, History, OK,
 from actsim.predicates import (PREDICATES, VIOLATED, check_CPar, check_FRVal,
                                check_NCC, check_RT, check_RVal, check_SessArb,
                                check_SinOrd, check_composite)
-from actsim.rdt import F_NNC, F_SEQ
-from runs import random_counter_run, random_log_run
+from actsim.rdt import F_MVR, F_NNC, F_SEQ
+from runs import random_counter_run, random_execution, random_log_run
 
 SEEDS = range(30)
 
@@ -42,12 +42,23 @@ def runs_with_witnesses():
 
 
 def with_extra_edges(a, rng, k=3):
+    """a with k distinct random edges added to vis, or with every edge
+    between distinct events when there are fewer."""
     ids = a.history.ids()
     extra = set()
-    while len(ids) > 1 and len(extra) < k:
+    while len(extra) < min(k, len(ids) * (len(ids) - 1)):
         extra.add(tuple(rng.sample(ids, 2)))
     return AbstractExecution(a.history, Relation(a.vis.edges | extra), a.ar,
                              a.par)
+
+
+def test_with_extra_edges_ends_on_small_histories():
+    """A 2-event history has only 2 edges to add, a 1-event one none."""
+    for n, want in ((1, set()), (2, {(0, 1), (1, 0)})):
+        h = History([Event(i, OperationLabel("get"), OK, WEAK, "c%d" % i,
+                           2 * i, 2 * i + 1) for i in range(n)])
+        a = AbstractExecution(h, Relation(), range(n))
+        assert with_extra_edges(a, random.Random(0)).vis.edges == want
 
 
 def with_swapped_ar(a, rng, k=3):
@@ -318,3 +329,24 @@ def test_value_checks_match_the_materialised_contexts():
                 violated.update(r.predicate for r in got
                                 if r.verdict == VIOLATED)
     assert min(violated[p] for p in ("RVal", "FRVal", "CPar")) > 20, violated
+
+
+def test_restrict_matches_the_pair_restriction():
+    """restrict (masks renumbered run by run) against the pair-based
+    reference, on random executions of every data type restricted to
+    random subsets, and on large counter runs restricted to a window and
+    to a scattered half."""
+    rng = random.Random(3)
+    for _ in range(200):
+        for spec in (F_NNC, F_SEQ, F_MVR):
+            a = random_execution(rng, spec, rng.randint(1, 8))
+            ids = [e for e in a.ar if rng.random() < 0.6]
+            got, want = a.restrict(ids), reference.restrict(a, ids)
+            assert (got.vis, got.ar, got.par) == (want.vis, want.ar,
+                                                  want.par)
+    for seed, events in ((0, 150), (1, 250)):
+        _, _, a, _, _ = random_counter_run(seed, events=events)
+        n = len(a.ar)
+        for ids in (range(n // 4, 3 * n // 4), rng.sample(range(n), n // 2)):
+            got, want = a.restrict(ids), reference.restrict(a, ids)
+            assert got.vis == want.vis and len(got.vis) > 0

@@ -175,6 +175,37 @@ def test_cli_brute_finds_and_refutes(tmp_path, capsys):
     capsys.readouterr()
 
 
+MVR_HISTORY = """\
+{"client": "c1", "id": 0, "invoke_ts": 0, "lvl": "weak", "op": {"args": [1], "name": "write"}, "return_ts": 1, "rval": {"tag": "ok", "value": null}}
+{"client": "c1", "id": 1, "invoke_ts": 2, "lvl": "weak", "op": {"args": [2], "name": "write"}, "return_ts": 3, "rval": {"tag": "ok", "value": null}}
+{"client": "c2", "id": 2, "invoke_ts": 4, "lvl": "weak", "op": {"args": [], "name": "read"}, "return_ts": 5, "rval": {"tag": "set", "value": [2]}}
+"""
+MVR_WITNESS = {"ar": [0, 1, 2], "vis": [[0, 1], [0, 2], [1, 2]],
+               "par": {"0": "ar", "1": "ar", "2": "ar"}}
+
+
+@pytest.mark.parametrize("index", ["0", "2"])
+def test_cli_brute_finds_the_register_witness_check_accepts(tmp_path, capsys,
+                                                            index):
+    """The read returns only the second write, so a witness needs vis from
+    the first write to the second: brute finds one, and check accepts both
+    it and the hand-written one."""
+    history = tmp_path / "h.jsonl"
+    history.write_text(MVR_HISTORY)
+    hand = tmp_path / "hand.json"
+    hand.write_text(json.dumps(MVR_WITNESS))
+    args = ["--rdt", "f_mvr", "--stabilization-index", index]
+    assert main(["brute", str(history), "--target", "BEC"] + args) == 0
+    out = capsys.readouterr().out
+    assert "satisfiable: True" in out
+    found = tmp_path / "found.json"
+    found.write_text(out[out.index("{"):])
+    for witness in (found, hand):
+        assert main(["check", str(history), str(witness), "--predicate",
+                     "BEC", "--level", "weak"] + args) == 0
+        assert "BEC(weak): holds" in capsys.readouterr().out
+
+
 def test_cli_lint_passes_stock_and_flags_mutants(tmp_path, capsys):
     out = tmp_path / "art"
     main(["run", "acutebayou-stable", "--out", str(out)])

@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import reference
+
 from actsim.model import (AbstractExecution, Event, History, OK,
                           OperationLabel, PENDING, Relation, foldr, rv_int,
                           rv_str)
@@ -219,7 +221,7 @@ def test_prefix_fold_equals_foldr_over_the_materialised_context(data):
     """For a random ar, random labels and a few (order, mask) queries on one
     fold, each order sharing a random prefix with ar (or being ar itself),
     the prefix fold's state is foldr over the mask's events in the order
-    preds_in lists them."""
+    tests/reference.py's preds_in lists them."""
     spec = data.draw(st.sampled_from([F_NNC, F_SEQ]))
     n = data.draw(st.integers(1, 16))
     ar = tuple(data.draw(st.permutations(range(n))))
@@ -232,6 +234,7 @@ def test_prefix_fold_equals_foldr_over_the_materialised_context(data):
             st.just(ar),
             st.permutations(ar[c:]).map(lambda rest: ar[:c] + tuple(rest))))
         mask = data.draw(st.integers(0, (1 << n) - 1))
-        carrier = Relation.from_pred_masks({n: mask}).preds_in(n, order)
+        carrier = reference.preds_in(Relation.from_pred_masks({n: mask}), n,
+                                     order)
         assert fold(order, mask) == foldr(spec.init, spec.step,
                                           [op[x] for x in carrier])
