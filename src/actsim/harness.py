@@ -62,7 +62,7 @@ def history_of(trace) -> History:
 def inject_probes(world, op, level, count=3, replicas=None):
     """Issue `count` sequential probes per replica after quiescence; returns
     the id of the first probe event (the stabilization index)."""
-    first = world._next_event_id
+    first = len(world.trace.events)
     for rid in replicas if replicas is not None else range(len(world.replicas)):
         client = "probe-%d" % rid
         for _ in range(count):

@@ -77,6 +77,13 @@ class PredicateReport:
         return "%s%s: %s" % (self.predicate, lvl, self.verdict)
 
 
+def report(name, level, bad, subs=()):
+    """VIOLATED with counterexample bad, or HOLDS when bad is empty; subs
+    are the sub-reports of a conjunction."""
+    return PredicateReport(name, level, VIOLATED if bad else HOLDS, tuple(bad),
+                           tuple(subs))
+
+
 def _tail_events(a, l, hz):
     return [e.id for e in a.history
             if e.lvl == l and e.id >= hz.stabilization_index]
@@ -90,9 +97,7 @@ def check_EV(a: AbstractExecution, l: str, hz: HorizonConfig) -> PredicateReport
     rb = a.history.rb
     bad = [(e, e2) for e2 in _tail_events(a, l, hz)
            for e in rb.pred(e2) - a.vis.pred(e2)]
-    if bad:
-        return PredicateReport("EV", l, VIOLATED, tuple(sorted(bad)))
-    return PredicateReport("EV", l, HOLDS)
+    return report("EV", l, sorted(bad))
 
 
 def check_NCC(a: AbstractExecution, l: str) -> PredicateReport:
@@ -108,16 +113,17 @@ def check_NCC(a: AbstractExecution, l: str) -> PredicateReport:
     cycle = find_cycle(happens_before(a).induced(L))
     # expand to a path through the underlying so u vis edges so the
     # counterexample can be replayed on the induced sub-execution
+    succ = base.inverse()
     support = set(cycle)
     for x, y in zip(cycle, cycle[1:]):
-        support |= _path_nodes(base, x, y)
+        support |= _path_nodes(succ, x, y)
     return PredicateReport("NCC", l, VIOLATED,
                            (tuple(cycle[:-1]), tuple(sorted(support))))
 
 
-def _path_nodes(rel: Relation, src, dst):
-    """Nodes on one shortest rel-path from src to dst (BFS)."""
-    succ = rel.inverse()
+def _path_nodes(succ: Relation, src, dst):
+    """Nodes on one shortest path from src to dst (BFS), where succ is the
+    inverse of the relation the path follows."""
     frontier = [[src]]
     seen = {src}
     while frontier:
@@ -181,9 +187,7 @@ def _check_values(name, a, l, spec, context):
         got = value(e)
         if got != e.rval:
             bad.append((e.id, "expected %r got %r" % (e.rval, got)))
-    if bad:
-        return PredicateReport(name, l, VIOLATED, tuple(bad))
-    return PredicateReport(name, l, HOLDS)
+    return report(name, l, bad)
 
 
 def check_RVal(a: AbstractExecution, l: str, spec: RdtSpec) -> PredicateReport:
@@ -211,9 +215,7 @@ def check_CPar(a: AbstractExecution, l: str, hz: HorizonConfig) -> PredicateRepo
         bad.extend((x, e2) for x, y in zip(in_order(a.ar, rest, c),
                                            in_order(order, rest, c))
                    if x != y)
-    if bad:
-        return PredicateReport("CPar", l, VIOLATED, tuple(sorted(bad)))
-    return PredicateReport("CPar", l, HOLDS)
+    return report("CPar", l, sorted(bad))
 
 
 def check_SinOrd(a: AbstractExecution, l: str) -> PredicateReport:
@@ -259,10 +261,7 @@ def check_SessArb(a: AbstractExecution, l: str) -> PredicateReport:
     L = a.history.level_events(l)
     if not L:
         return PredicateReport("SessArb", l, VACUOUS)
-    bad = _against_ar(a, session_order(a.history), L)
-    if bad:
-        return PredicateReport("SessArb", l, VIOLATED, tuple(bad))
-    return PredicateReport("SessArb", l, HOLDS)
+    return report("SessArb", l, _against_ar(a, session_order(a.history), L))
 
 
 def check_RT(a: AbstractExecution, l: str) -> PredicateReport:
@@ -270,10 +269,7 @@ def check_RT(a: AbstractExecution, l: str) -> PredicateReport:
     L = a.history.level_events(l)
     if not L:
         return PredicateReport("RT", l, VACUOUS)
-    bad = _against_ar(a, a.history.rb.induced(L), L)
-    if bad:
-        return PredicateReport("RT", l, VIOLATED, tuple(bad))
-    return PredicateReport("RT", l, HOLDS)
+    return report("RT", l, _against_ar(a, a.history.rb.induced(L), L))
 
 
 # the predicates each composite conjoins, checked in this order
@@ -290,10 +286,8 @@ def check_composite(a: AbstractExecution, which: str, l: str, spec: RdtSpec,
     """The conjunction of the composite's parts, one sub-report each."""
     if which not in COMPOSITES:
         raise ValueError("unknown composite %r" % which)
-    subs = tuple(check(a, part, l, spec, hz) for part in COMPOSITES[which])
-    verdict = VIOLATED if any(s.verdict == VIOLATED for s in subs) else HOLDS
-    counter = tuple(s.predicate for s in subs if s.verdict == VIOLATED)
-    return PredicateReport(which, l, verdict, counter, subs)
+    subs = [check(a, part, l, spec, hz) for part in COMPOSITES[which]]
+    return report(which, l, [s.predicate for s in subs if not s.ok], subs)
 
 
 PREDICATES = {

@@ -6,6 +6,11 @@ Stable runs deliver every TOB message; asynchronous runs withhold the suffix
 of TOB messages cast after a cutoff step.  Partitions defer RB deliveries
 across blocks and stall TOB outside the majority block.
 
+A TOB message's number is its position in the total order plus one: each
+replica delivers in position order, so position k is first delivered
+anywhere after every earlier position, and numbering first deliveries
+densely gives position + 1.
+
 Every step records the acting replica's state digest before and after it,
 and `check_act_restrictions` lints the recorded trace.  The world hashes a
 replica's state once per step: the digest before a step is the one recorded
@@ -21,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import json
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -29,7 +33,7 @@ from typing import Optional
 
 from .model import (OP, SCALAR, OperationLabel, ReturnValue, bits, conform,
                     id_mask)
-from .predicates import HOLDS, VIOLATED, PredicateReport
+from .predicates import PredicateReport, report
 
 RB = "RB"
 TOB = "TOB"
@@ -50,7 +54,6 @@ class Message:
     kind: str
     payload: tuple
     origin: int
-    cast_step: int
     cast_event: Optional[int]
 
 
@@ -257,6 +260,10 @@ class SimWorld:
     """Runs replicas against a schedule and a scripted workload, recording
     a ProtocolTrace.
 
+    Its heap holds callable actions, each a bound method and its arguments
+    under the key (ready, class, replica, push sequence); `step` pops and
+    calls them until one records a step.
+
     A replica's state changes only inside its on_invoke, on_deliver and
     on_internal handlers, and only the world calls them.  So the digest
     recorded after a replica's step is still its digest when its next step
@@ -278,7 +285,6 @@ class SimWorld:
         self.messages = {}
         self._tob_pos = {}             # TOB msg id -> position in the total order
         self.tob_pointer = [0] * len(self.replicas)
-        self.tob_no = {}               # msg id -> dense delivery number
         # per replica: the mask of events whose RB / TOB message it delivered
         self._rbdel = [0] * len(self.replicas)
         self._tobdel = [0] * len(self.replicas)
@@ -289,21 +295,19 @@ class SimWorld:
         self._pending_local = []
         self._internal_scheduled = [False] * len(self.replicas)
         self._client_queue = {}
-        self._client_waiting = {}
-        self._next_event_id = 0
-        self._current_event = None
+        self._waiting = set()          # clients awaiting a response
         for inv in workload:
             self._client_queue.setdefault(inv.client, []).append(inv)
         for q in self._client_queue.values():
             q.sort(key=lambda i: i.at_step)
         for client, q in sorted(self._client_queue.items()):
-            self._client_waiting[client] = False
-            self._push(q[0].at_step, CLASS_INVOKE, q[0].replica, ("invoke", client))
+            self._push(q[0].at_step, CLASS_INVOKE, q[0].replica,
+                       self._do_invoke, client)
 
     # -- scheduling ----------------------------------------------------
 
-    def _push(self, ready, klass, replica, action):
-        heapq.heappush(self._heap, (ready, klass, replica, self._seq, action))
+    def _push(self, ready, klass, replica, act, *args):
+        heapq.heappush(self._heap, (ready, klass, replica, self._seq, act, args))
         self._seq += 1
 
     def clock(self, rid):
@@ -329,14 +333,13 @@ class SimWorld:
         for rid, rep in enumerate(self.replicas):
             if rep.has_internal() and not self._internal_scheduled[rid]:
                 self._internal_scheduled[rid] = True
-                self._push(self.now, CLASS_INTERNAL, rid, ("internal", rid))
+                self._push(self.now, CLASS_INTERNAL, rid, self._do_internal, rid)
 
     # -- casting -------------------------------------------------------
 
-    def _cast(self, kind, payload, origin):
+    def _cast(self, kind, payload, origin, event):
         mid = len(self.messages)
-        msg = Message(mid, kind, tuple(payload), origin, self.now,
-                      self._current_event)
+        msg = Message(mid, kind, tuple(payload), origin, event)
         self.messages[mid] = msg
         if kind == TOB:
             cutoff = self.schedule.tob_cutoff
@@ -354,27 +357,23 @@ class SimWorld:
                     key = (origin, dest)
                     ready = max(ready, self._fifo_last_ready.get(key, -1) + 1)
                     self._fifo_last_ready[key] = ready
-                self._push(ready, CLASS_DELIVER, dest, ("deliver", mid, dest))
+                self._push(ready, CLASS_DELIVER, dest, self._do_deliver, mid, dest)
             self._pending_local.append((msg, origin))
         return msg
 
     def _sequence_tob(self, mid):
         """Hand a message to the ordering service.  A replica cut off from
         the majority cannot get its message sequenced until the partition
-        timeline changes."""
-        msg = self.messages[mid]
+        timeline changes.  No replica acts, so this returns False."""
+        origin = self.messages[mid].origin
         majority = self._majority_block()
-        if majority is not None and msg.origin not in majority:
-            change = self.schedule.next_partition_change(self.now)
-            if change is None:
-                self.withheld.add(mid)
-                return
-            self._push(change, CLASS_DELIVER, msg.origin, ("tobcast", mid))
-            return
+        if majority is not None and origin not in majority:
+            return self._after_partition(mid, origin, self._sequence_tob, mid)
         self._tob_pos[mid] = len(self._tob_pos)
         for dest in range(len(self.replicas)):
             ready = self.now + self.schedule.tob_delay + self._jitter()
-            self._push(ready, CLASS_DELIVER, dest, ("tob", mid, dest))
+            self._push(ready, CLASS_DELIVER, dest, self._do_tob, mid, dest)
+        return False
 
     def _flush_local(self):
         """Apply queued same-step local deliveries, after the causing record:
@@ -388,7 +387,11 @@ class SimWorld:
         """Deliver msg at dest and record the step with detail."""
         before = self._digest_before(dest)
         effects = self.replicas[dest].on_deliver(msg.kind, msg)
-        self._note_delivered(dest, msg)
+        if msg.cast_event is not None:
+            if msg.kind == RB:
+                self._rbdel[dest] |= 1 << msg.cast_event
+            elif msg.kind == TOB:
+                self._tobdel[dest] |= 1 << msg.cast_event
         casts, resps = self._apply_effects(dest, effects)
         self._record(dest, "deliver", detail, before, casts, resps)
         return True
@@ -400,23 +403,15 @@ class SimWorld:
 
     # -- effects and trace ---------------------------------------------
 
-    def _note_delivered(self, dest, msg):
-        ev = msg.cast_event
-        if ev is None:
-            return
-        if msg.kind == RB:
-            self._rbdel[dest] |= 1 << ev
-        elif msg.kind == TOB:
-            self._tobdel[dest] |= 1 << ev
-
     def _digest_before(self, rid):
         digest = self._digest[rid]
         return self.replicas[rid].state_digest() if digest is None else digest
 
-    def _apply_effects(self, rid, effects: Effects):
+    def _apply_effects(self, rid, effects: Effects, event=None):
+        """Cast effects' messages, sent by event if any; record responses."""
         cast_ids = []
         for kind, payload in effects.casts:
-            msg = self._cast(kind, payload, rid)
+            msg = self._cast(kind, payload, rid, event)
             cast_ids.append((msg.id, kind))
         resp_ids = []
         for resp in effects.responses:
@@ -445,10 +440,9 @@ class SimWorld:
                     edges.append((dep, cur))
             rec.essential_edges = tuple(edges)
             resp_ids.append(resp.event_id)
-            client = rec.client
-            if self._client_waiting.get(client):
-                self._client_waiting[client] = False
-                self._schedule_next_invoke(client)
+            if rec.client in self._waiting:
+                self._waiting.discard(rec.client)
+                self._schedule_next_invoke(rec.client)
         return tuple(cast_ids), tuple(resp_ids)
 
     def _schedule_next_invoke(self, client):
@@ -456,7 +450,7 @@ class SimWorld:
         if q:
             nxt = q[0]
             self._push(max(nxt.at_step, self.now + 1), CLASS_INVOKE,
-                       nxt.replica, ("invoke", client))
+                       nxt.replica, self._do_invoke, client)
 
     def _record(self, rid, kind, detail, before, casts, responses):
         rep = self.replicas[rid]
@@ -478,27 +472,12 @@ class SimWorld:
         if step_limit is not None and heap and heap[0][0] > step_limit:
             return False
         while heap:
-            ready, klass, rid, seq, action = heapq.heappop(heap)
+            ready, klass, rid, seq, act, args = heapq.heappop(heap)
             self.now = max(self.now + 1, ready)
-            if self._dispatch(action, rid):
+            if act(*args):
                 self._flush_local()
                 return True
         return False
-
-    def _dispatch(self, action, rid):
-        kind = action[0]
-        if kind == "invoke":
-            return self._do_invoke(action[1])
-        if kind == "deliver":
-            return self._do_deliver(action[1], action[2])
-        if kind == "tob":
-            return self._do_tob(action[1], action[2])
-        if kind == "internal":
-            return self._do_internal(action[1])
-        if kind == "tobcast":
-            self._sequence_tob(action[1])
-            return False  # bookkeeping only, no replica acted
-        raise AssertionError(kind)
 
     def _do_invoke(self, client):
         inv = self._client_queue[client].pop(0)
@@ -506,25 +485,22 @@ class SimWorld:
         if rid >= len(self.replicas):
             raise UnknownReplica(rid)
         rep = self.replicas[rid]
-        eid = self._next_event_id
-        self._next_event_id += 1
+        eid = len(self.trace.events)
         rec = EventRecord(event_id=eid, replica=rid, op=inv.op, level=inv.level,
                           local_ro=rep.is_local_ro(inv.op, inv.level),
                           client=client, invoke_step=self.now)
         self.trace.events[eid] = rec
-        self._current_event = eid
         before = self._digest_before(rid)
         effects = rep.on_invoke(eid, inv.op, inv.level, self.clock(rid))
-        rec.req_dot = getattr(effects, "req_dot", None)
+        rec.req_dot = effects.req_dot
         if rec.req_dot is not None:
             self._event_of_dot.setdefault(rec.req_dot, eid)
-        casts, resps = self._apply_effects(rid, effects)
-        self._current_event = None
+        casts, resps = self._apply_effects(rid, effects, eid)
         self._record(rid, "invoke", {"event": eid, "op": str(inv.op),
                                      "level": inv.level, "ro": rec.local_ro},
                      before, casts, resps)
-        if eid not in resps and rec.return_step is None:
-            self._client_waiting[client] = True
+        if rec.pending:
+            self._waiting.add(client)
         else:
             self._schedule_next_invoke(client)
         return True
@@ -532,7 +508,8 @@ class SimWorld:
     def _do_deliver(self, mid, dest):
         msg = self.messages[mid]
         if not self._same_block(msg.origin, dest):
-            return self._defer_past_partition(("deliver", mid, dest))
+            return self._after_partition((mid, dest), dest,
+                                         self._do_deliver, mid, dest)
         return self._deliver(dest, msg, {"msg": mid, "kind": msg.kind})
 
     def _do_tob(self, mid, dest):
@@ -540,29 +517,28 @@ class SimWorld:
         idx = self._tob_pos[mid]
         if idx != self.tob_pointer[dest]:
             # out of order: retry after the earlier deliveries land
-            self._push(self.now + 1, CLASS_DELIVER, dest, ("tob", mid, dest))
+            self._push(self.now + 1, CLASS_DELIVER, dest, self._do_tob, mid, dest)
             return False
         majority = self._majority_block()
         if majority is not None and dest not in majority:
-            return self._defer_past_partition(("tob", mid, dest))
-        if mid not in self.tob_no:
-            self.tob_no[mid] = len(self.tob_no) + 1
-            ev = msg.cast_event
-            if ev is not None:
-                self.trace.events[ev].tobno = self.tob_no[mid]
+            return self._after_partition((mid, dest), dest,
+                                         self._do_tob, mid, dest)
+        if msg.cast_event is not None:
+            # an event's number is that of its highest delivered position
+            rec = self.trace.events[msg.cast_event]
+            rec.tobno = max(rec.tobno or 0, idx + 1)
         self.tob_pointer[dest] = idx + 1
         return self._deliver(dest, msg, {"msg": mid, "kind": TOB,
-                                         "tobno": self.tob_no[mid]})
+                                         "tobno": idx + 1})
 
-    def _defer_past_partition(self, action):
-        """Retry a blocked delivery once the partition changes, or else
-        withhold it."""
-        _, mid, dest = action
+    def _after_partition(self, key, dest, *action):
+        """Push action at the next partition change, or else add key to
+        withheld; no replica acts, so this returns False."""
         change = self.schedule.next_partition_change(self.now)
         if change is None:
-            self.withheld.add((mid, dest))
+            self.withheld.add(key)
         else:
-            self._push(change, CLASS_DELIVER, dest, action)
+            self._push(change, CLASS_DELIVER, dest, *action)
         return False
 
     def _do_internal(self, rid):
@@ -589,28 +565,23 @@ class SimWorld:
                 raise StepBudgetExceeded(steps)
         return self
 
-    def inject(self, client, replica, op, level, at_step=None):
-        """Add a workload item after construction (e.g. tail probes)."""
-        at = self.now + 1 if at_step is None else at_step
-        inv = Invoke(at, client, replica, op, level)
+    def inject(self, client, replica, op, level):
+        """Add a workload item after construction (e.g. tail probes), ready
+        at the next step.  It runs after the client's queued invokes and
+        once the client's pending invoke, if any, has answered."""
         q = self._client_queue.setdefault(client, [])
-        fresh = not q and not self._client_waiting.get(client, False)
-        q.append(inv)
-        if client not in self._client_waiting:
-            self._client_waiting[client] = False
-            fresh = True
-        if fresh:
-            self._push(at, CLASS_INVOKE, replica, ("invoke", client))
+        if not q and client not in self._waiting:
+            self._push(self.now + 1, CLASS_INVOKE, replica,
+                       self._do_invoke, client)
+        q.append(Invoke(self.now + 1, client, replica, op, level))
 
 
 # -- the five implementation-restriction lints --------------------------
 
-def _rule(name, bad):
-    return PredicateReport(name, None, VIOLATED if bad else HOLDS, tuple(bad))
+STRONG_BUDGET = 200  # rule 5: steps from the last TOB delivery to the answer
 
 
-def check_act_restrictions(trace: ProtocolTrace,
-                           strong_budget=200) -> PredicateReport:
+def check_act_restrictions(trace: ProtocolTrace) -> PredicateReport:
     """Check the five replica-implementation rules on a recorded trace."""
     subs = []
 
@@ -627,7 +598,7 @@ def check_act_restrictions(trace: ProtocolTrace,
             bad.append((eid, "state changed"))
         if eid not in rec.responses:
             bad.append((eid, "no response in the invoke step"))
-    subs.append(_rule("invisible_reads", bad))
+    subs.append(report("invisible_reads", None, bad))
 
     # rule 2: internal events happen only between an external stimulus and
     # the next passive state
@@ -641,7 +612,7 @@ def check_act_restrictions(trace: ProtocolTrace,
             bad.append((rec.step, rid))
         if rec.passive_after:
             active[rid] = False
-    subs.append(_rule("input_driven_processing", bad))
+    subs.append(report("input_driven_processing", None, bad))
 
     # rule 3: broadcasts require a previously invoked non-read-only operation
     bad = []
@@ -651,7 +622,7 @@ def check_act_restrictions(trace: ProtocolTrace,
             saw_update_invoke = True
         if rec.casts and not saw_update_invoke:
             bad.append((rec.step, rec.replica))
-    subs.append(_rule("op_driven_messages", bad))
+    subs.append(report("op_driven_messages", None, bad))
 
     # rule 4: weak operations return without awaiting deliveries
     bad = []
@@ -671,7 +642,7 @@ def check_act_restrictions(trace: ProtocolTrace,
         i = bisect_right(steps, ev.invoke_step)
         if i < len(steps) and steps[i] <= ev.return_step:
             bad.append((eid, "awaited a delivery at step %d" % steps[i]))
-    subs.append(_rule("highly_available_weak", bad))
+    subs.append(report("highly_available_weak", None, bad))
 
     # rule 5: a strong operation returns within a bounded number of steps
     # after its last TOB-cast message is TOB-delivered at its own replica
@@ -694,12 +665,10 @@ def check_act_restrictions(trace: ProtocolTrace,
         steps = [deliveries.get((m, ev.replica)) for m in tob_casts[eid]]
         if any(s is None for s in steps):
             continue  # undelivered: the operation may legitimately pend
-        deadline = max(steps) + strong_budget
+        deadline = max(steps) + STRONG_BUDGET
         if ev.return_step is None or ev.return_step > deadline:
             bad.append((eid, "no response by step %d" % deadline))
-    subs.append(_rule("non_blocking_strong", bad))
+    subs.append(report("non_blocking_strong", None, bad))
 
-    verdict = VIOLATED if any(s.verdict == VIOLATED for s in subs) else HOLDS
-    return PredicateReport("act_restrictions", None, verdict,
-                           tuple(s.predicate for s in subs if not s.ok),
-                           tuple(subs))
+    return report("act_restrictions", None,
+                  [s.predicate for s in subs if not s.ok], subs)

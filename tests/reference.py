@@ -156,7 +156,7 @@ def check_NCC(a, l):
         return PredicateReport("NCC", l, HOLDS)
     support = set(cycle)
     for x, y in zip(cycle, cycle[1:]):
-        support |= _path_nodes(base, x, y)
+        support |= _path_nodes(base.inverse(), x, y)
     return PredicateReport("NCC", l, VIOLATED,
                            (tuple(cycle[:-1]), tuple(sorted(support))))
 

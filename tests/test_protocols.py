@@ -17,7 +17,7 @@ def lab(name, *args):
 
 
 def msg(kind, payload, origin=0, mid=0):
-    return Message(mid, kind, tuple(payload), origin, 0, None)
+    return Message(mid, kind, tuple(payload), origin, None)
 
 
 def test_counter_add_is_applied_locally_and_broadcast():

@@ -37,15 +37,37 @@ def test_same_seed_gives_identical_traces():
 
 
 def test_total_order_deliveries_are_a_dense_ascending_prefix():
-    art = run_scenario("annc-stable")
-    per_replica = {}
-    for rec in art.trace.steps:
-        if rec.kind == "deliver" and rec.detail.get("kind") == TOB:
-            per_replica.setdefault(rec.replica, []).append(
-                rec.detail["tobno"])
-    assert per_replica
-    for seq in per_replica.values():
-        assert seq == list(range(1, len(seq) + 1))
+    """Each replica's TOB deliveries carry 1, 2, 3, ..., and each event's
+    tobno is the rank of its message's first TOB delivery anywhere, on
+    stable, partitioned and asynchronous runs and on random counter runs
+    (with jitter, some asynchronous)."""
+    traces = [run_scenario(name).trace for name in (
+        "annc-stable", "annc-partition-convergence", "annc-async",
+        "acutebayou-async")]
+    modes = set()
+    for seed in range(50):
+        _, trace, _, _, mode = random_counter_run(seed, max_events=10)
+        traces.append(trace)
+        modes.add(mode)
+    assert modes == {"stable", "async"}
+    ranked = 0
+    for trace in traces:
+        per_replica, first = {}, {}
+        for rec in trace.steps:
+            if rec.kind == "deliver" and rec.detail.get("kind") == TOB:
+                per_replica.setdefault(rec.replica, []).append(
+                    rec.detail["tobno"])
+                first.setdefault(rec.detail["msg"], len(first) + 1)
+        for seq in per_replica.values():
+            assert seq == list(range(1, len(seq) + 1))
+        sent = {mid: rec.detail["event"] for rec in trace.steps
+                if rec.kind == "invoke" for mid, kind in rec.casts
+                if kind == TOB}
+        rank = {sent[mid]: r for mid, r in first.items() if mid in sent}
+        for eid, ev in trace.events.items():
+            assert ev.tobno == rank.get(eid), eid
+        ranked += len(rank)
+    assert ranked > 0
 
 
 def test_fifo_broadcast_preserves_per_link_order():
@@ -82,6 +104,43 @@ def test_cutoff_withholds_the_late_total_order_message():
     for rec in art.trace.steps:
         if rec.kind == "deliver":
             assert rec.detail["msg"] not in withheld_msgs
+
+
+def test_inject_never_fires_for_a_client_awaiting_a_withheld_answer():
+    art = run_scenario("annc-async")
+    world = art.world
+    rec = world.trace.events[art.extras["pending"][0]]
+    assert rec.pending
+    n = len(world.trace.events)
+    world.inject(rec.client, rec.replica, lab("get"), WEAK)
+    world.run_to_quiescence()
+    assert len(world.trace.events) == n
+
+
+def test_inject_fires_for_a_new_client_at_the_next_step():
+    world = run_scenario("annc-stable").world
+    now = world.now
+    world.inject("fresh", 1, lab("get"), WEAK)
+    world.run_to_quiescence()
+    rec = world.trace.events[max(world.trace.events)]
+    assert (rec.client, rec.replica, rec.invoke_step) == ("fresh", 1, now + 1)
+
+
+def test_inject_runs_after_the_clients_queued_invokes():
+    replicas = [NncReplica(0), NncReplica(1)]
+    workload = [Invoke(5, "c0", 0, lab("add", 1), WEAK),
+                Invoke(10, "c0", 1, lab("add", 2), WEAK),
+                Invoke(15, "c0", 0, lab("get"), WEAK)]
+    world = SimWorld(replicas, Schedule(rb_delay=2, tob_delay=3), workload)
+    world.run_until(2)
+    world.inject("c0", 1, lab("add", 3), WEAK)
+    world.run_to_quiescence()
+    evs = [world.trace.events[e] for e in sorted(world.trace.events)]
+    assert [(e.client, e.replica, e.op) for e in evs] == [
+        ("c0", 0, lab("add", 1)), ("c0", 1, lab("add", 2)),
+        ("c0", 0, lab("get")), ("c0", 1, lab("add", 3))]
+    assert [e.invoke_step for e in evs[:3]] == [5, 10, 15]
+    assert evs[3].invoke_step > evs[2].return_step
 
 
 def test_step_budget_is_enforced():
