@@ -1,7 +1,7 @@
 """Seeded random counter and log runs for the property and acceptance
 tests, the tiny counter runs on which the witness builder is compared
-with exhaustive search, and random abstract executions of each data type
-drawn without a simulator."""
+with exhaustive search, seeded random worlds of every replica class, and
+random abstract executions of each data type drawn without a simulator."""
 
 import random
 from dataclasses import replace
@@ -10,7 +10,8 @@ from actsim.harness import history_of, inject_probes
 from actsim.model import (PENDING, AbstractExecution, Event, History,
                           OperationLabel as op, Relation, STRONG, WEAK)
 from actsim.predicates import HorizonConfig, check_composite
-from actsim.protocols import MixedLogReplica, NncReplica
+from actsim.protocols import (ClassicLogReplica, MixedLogReplica,
+                              NncReplica, RedBlueReplica)
 from actsim.rdt import F_MVR, F_NNC, F_SEQ, context_of
 from actsim.simnet import Invoke, Schedule, SimWorld
 from actsim.witness import (brute_force_witness, build_log_witness,
@@ -94,6 +95,84 @@ def random_log_run(seed, max_events=8, mode="stable", events=None,
     hz = HorizonConfig(stab)
     a = build_log_witness(history, world.trace, mode)
     return history, world.trace, a, hz
+
+
+# protocol -> (the operations a random world draws, each with the levels
+# it may run at, and the probe)
+WORLD_OPS = {
+    "nnc": ((op("add", (1,)), (WEAK,)), (op("add", (3,)), (WEAK,)),
+            (op("get"), (WEAK,)), (op("subtract", (2,)), (STRONG,))),
+    "log": ((op("append", ("a",)), (WEAK, WEAK, STRONG)),
+            (op("append", ("b",)), (WEAK, STRONG)),
+            (op("read"), (WEAK, STRONG))),
+    "classic-log": ((op("upd_x"), (WEAK,)), (op("upd_y"), (WEAK,)),
+                    (op("read_z"), (WEAK,))),
+    "redblue": ((op("append", ("a",)), (WEAK, STRONG)),
+                (op("append", ("b",)), (WEAK,)), (op("read"), (WEAK,))),
+}
+WORLD_PROBES = {"nnc": op("get"), "log": op("read"),
+                "classic-log": op("read_z"), "redblue": op("read")}
+
+
+def _world_replicas(protocol, n, rng):
+    if protocol == "nnc":
+        return [NncReplica(i) for i in range(n)]
+    if protocol == "log":
+        return [MixedLogReplica(i) for i in range(n)]
+    if protocol == "redblue":
+        return [RedBlueReplica(i) for i in range(n)]
+    primary = rng.randrange(n)
+    return [ClassicLogReplica(i, is_primary=i == primary) for i in range(n)]
+
+
+def _random_partitions(rng, n, span, heal):
+    """One to three splits of the n replicas into two blocks, at increasing
+    steps inside the invoke span, followed by a heal when heal is set."""
+    out, step = [], 0
+    for _ in range(rng.randint(1, 3)):
+        step += rng.randint(1, max(1, span // 2))
+        ids = rng.sample(range(n), n)
+        cut = rng.randint(1, n - 1)
+        blocks = (tuple(sorted(ids[:cut])), tuple(sorted(ids[cut:])))
+        out.append((step, tuple(sorted(blocks))))
+    if heal:
+        out.append((step + rng.randint(1, 30), (tuple(range(n)),)))
+    return tuple(out)
+
+
+def random_world(seed, max_events=16):
+    """A seeded random world of one of the four replica classes (seed % 4
+    picks it), built but not yet run: 2 or 3 replicas, stable or async with
+    a TOB cutoff, jitter 0 to 3, per-link delays, clock skew, and, in three
+    runs of five, partitions, which heal in two of those three.  Returns
+    (world, probe)."""
+    rng = random.Random(seed)
+    protocol = sorted(WORLD_OPS)[seed % 4]
+    n = rng.randint(2, 3)
+    mode = rng.choice(("stable", "async"))
+    workload, step = [], 0
+    for i in range(rng.randint(1, max_events)):
+        step += rng.randint(1, 6)
+        label, levels = rng.choice(WORLD_OPS[protocol])
+        workload.append(Invoke(step, "c%d" % rng.randrange(5),
+                               rng.randrange(n), label, rng.choice(levels)))
+    links = tuple((o, d, rng.randint(1, 9)) for o in range(n)
+                  for d in range(n) if o != d and rng.random() < 0.3)
+    skew = tuple((r, rng.randint(0, 12)) for r in range(n)
+                 if rng.random() < 0.4)
+    partitions = ()
+    draw = rng.random()
+    if draw < 0.6:
+        partitions = _random_partitions(rng, n, step, heal=draw < 0.4)
+    schedule = Schedule(seed=seed, rb_delay=rng.randint(1, 5),
+                        rb_delays=links, tob_delay=rng.randint(2, 8),
+                        jitter=rng.randint(0, 3), clock_skew=skew,
+                        tob_cutoff=(rng.randint(5, step + 10)
+                                    if mode == "async" else None),
+                        partitions=partitions)
+    world = SimWorld(_world_replicas(protocol, n, rng), schedule, workload,
+                     mode=mode, protocol=protocol)
+    return world, WORLD_PROBES[protocol]
 
 
 def agreement_case(seed):

@@ -1,6 +1,15 @@
-"""Tests for the deterministic scheduler and the implementation-rule lints."""
+"""Tests for the deterministic scheduler and the implementation-rule lints.
 
+`PYTHONPATH=src python tests/test_simnet.py` re-records
+`tests/data/random_runs.json`, the pinned outputs of seeded random worlds of
+every replica class; do that only when a change to a run's output is
+intended.
+"""
+
+import hashlib
 import json
+import os
+import sys
 
 import pytest
 
@@ -171,6 +180,37 @@ def test_run_until_stops_at_the_step_limit():
     assert invoked == [0]
     world.run_to_quiescence()
     assert len(world.trace.events) == 2
+
+
+RANDOM_RUNS = os.path.join(os.path.dirname(__file__), "data",
+                           "random_runs.json")
+RANDOM_SEEDS = range(300)
+
+
+def random_run_outputs(seed):
+    """The outputs of `runs.random_world(seed)` run to quiescence and then
+    probed: the trace digest, a hash of the whole trace JSON, the final
+    clock and the number of withheld deliveries."""
+    world, probe = runs.random_world(seed)
+    world.run_to_quiescence()
+    harness.inject_probes(world, probe, WEAK)
+    text = json.dumps(world.trace.to_json(), sort_keys=True)
+    return {"trace": world.trace.digest(),
+            "json": hashlib.sha256(text.encode()).hexdigest()[:16],
+            "now": world.now, "withheld": len(world.withheld)}
+
+
+def test_random_runs_keep_their_pinned_outputs():
+    with open(RANDOM_RUNS) as f:
+        pinned = json.load(f)
+    assert sorted(map(int, pinned)) == list(RANDOM_SEEDS)
+    kept = 0
+    for seed, want in pinned.items():
+        if want is None:
+            continue    # the run did not return when it was recorded
+        assert random_run_outputs(int(seed)) == want, seed
+        kept += 1
+    assert kept > 250
 
 
 def test_trace_json_round_trip():
@@ -453,3 +493,31 @@ def test_slow_add_reports_the_first_delivery_it_awaited():
     # the add's own RB message, delivered locally in the invoke step
     # itself, does not count; its TOB delivery at step 4 does
     assert sub.counterexample == ((0, "awaited a delivery at step 4"),)
+
+
+if __name__ == "__main__":
+    # a run that makes this many total-order delivery attempts is taken to
+    # retry forever and is recorded as null
+    attempts = [0]
+    do_tob = SimWorld._do_tob
+
+    def counted(self, mid, dest):
+        attempts[0] += 1
+        if attempts[0] > 20000:
+            raise StepBudgetExceeded(attempts[0])
+        return do_tob(self, mid, dest)
+
+    SimWorld._do_tob = counted
+    record = {}
+    for seed in RANDOM_SEEDS:
+        attempts[0] = 0
+        try:
+            record[str(seed)] = random_run_outputs(seed)
+        except StepBudgetExceeded:
+            record[str(seed)] = None
+    with open(RANDOM_RUNS, "w") as f:
+        json.dump(record, f, indent=1, sort_keys=True)
+        f.write("\n")
+    print("recorded %d runs (%d did not return) in %s"
+          % (len(record), sum(v is None for v in record.values()),
+             RANDOM_RUNS), file=sys.stderr)
