@@ -20,9 +20,16 @@ step.  The parts of a state that grow with the run live in two containers.
 A `RenderedDict` renders each `(key, value)` pair when the key is set and
 keeps the pairs in key order; a `RenderedLog` renders each request's dot
 when the request is appended.  Their `text()` joins those fragments into
-exactly what `repr` gives for the sorted items or the list of dots, so every
-digest hashes the same bytes as rendering the whole state would, while the
-Python-level work per step is proportional to what the step changed.
+exactly what `repr` gives for the sorted items or the list of dots, and
+returns the same `StateText` object until the next change.
+
+A state is a tuple, and the counter's and the logs' states lead with such a
+text.  `state_digest` keeps a sha256 state fed with the tuple's text up to
+the end of that leading text, and feeds it again only when the text object
+changes; each step copies it and hashes only the rest of the tuple, a few
+numbers and short lists, formatted in one step.  A state that does not lead
+with its text is hashed whole.  Either way the digest hashes exactly the
+bytes of `repr(state)`, as rendering and hashing the whole state would.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cache
 
 from .model import OK, OperationLabel, STRONG, WEAK, rv_int, rv_bool, rv_str
 from .simnet import Effects, FIFO_RB, RB, Response, TOB
@@ -47,6 +55,13 @@ class Req:
 
 def _digest(obj):
     return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+@cache
+def _rest_format(arity):
+    """The %-format of a tuple's repr after its first item, for a tuple of
+    arity items."""
+    return ",)" if arity == 1 else ", %r" * (arity - 1) + ")"
 
 
 _render = repr    # every fragment of a state's text is rendered through here
@@ -141,6 +156,10 @@ class Replica:
     def __init__(self, rid):
         self.rid = rid
         self._seq = 0
+        # the StateText leading the state, the sha256 state fed with "("
+        # and that text, and the last rest hashed after it, with the digest
+        self._head = self._head_hash = None
+        self._rest = self._rest_digest = None
 
     def mint_dot(self):
         self._seq += 1
@@ -159,7 +178,22 @@ class Replica:
         return Effects()
 
     def state_digest(self):
-        return _digest(self._state_repr())
+        state = self._state_repr()
+        if type(state) is not tuple or not state \
+                or type(state[0]) is not StateText:
+            return _digest(state)
+        text = state[0]
+        rest = (_rest_format(len(state)) % state[1:]).encode()
+        if text is not self._head:
+            self._head = text
+            self._head_hash = hashlib.sha256(("(" + text).encode())
+        elif rest == self._rest:
+            return self._rest_digest
+        hashed = self._head_hash.copy()
+        hashed.update(rest)
+        self._rest = rest
+        self._rest_digest = digest = hashed.hexdigest()[:16]
+        return digest
 
     def convergence_digest(self):
         return _digest(self._converged_repr())

@@ -12,23 +12,26 @@ anywhere after every earlier position, and numbering first deliveries
 densely gives position + 1.
 
 Every step records the acting replica's state digest before and after it,
-and `check_act_restrictions` lints the recorded trace.  The world hashes a
-replica's state once per step: the digest before a step is the one recorded
-after that replica's previous step.  Nor is the state rendered afresh for
-the hash: each replica keeps its state's text current as the state changes
-(see `protocols`), so hashing costs one sha256 over that text plus Python
-work proportional to what the step changed.  Delivered sets (one event
-mask per replica for RB and one for TOB), dot lookups and TOB positions are
-kept as the run goes, so no step rescans the run so far.
+and `check_act_restrictions` lints the recorded trace in one pass.  The
+world hashes a replica's state once per step: the digest before a step is
+the one recorded after that replica's previous step.  Nor is the state
+rendered or hashed afresh: each replica keeps its state's text current as
+the state changes, and keeps the sha256 state of the text that leads it,
+fed once per change of that text (see `protocols`).  So a step hashes only
+the short rest of the state, the part of the text that changes often.
+Delivered sets (one event mask per replica for RB and one for TOB), dot
+lookups and TOB positions are kept as the run goes, and the partition
+timeline is read once per partition epoch, so no step rescans the run or
+the schedule.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Optional
 
 from .model import (OP, SCALAR, OperationLabel, ReturnValue, bits, conform,
@@ -48,7 +51,7 @@ class UnknownReplica(KeyError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     id: int
     kind: str
@@ -118,7 +121,7 @@ class Schedule:
         return None
 
 
-@dataclass
+@dataclass(slots=True)
 class StepRecord:
     step: int
     replica: Optional[int]
@@ -131,7 +134,7 @@ class StepRecord:
     passive_after: bool = True
 
 
-@dataclass
+@dataclass(slots=True)
 class EventRecord:
     event_id: int
     replica: int
@@ -268,8 +271,17 @@ class SimWorld:
     on_internal handlers, and only the world calls them.  So the digest
     recorded after a replica's step is still its digest when its next step
     begins, and the world reuses it as that step's hash_before; it hashes
-    the state afresh only before a replica's first step.  Code that changes
-    a replica's state outside those handlers breaks the recorded hashes.
+    the state afresh only before a replica's first step.  For the same
+    reason a replica becomes busy with internal work only in a step, and
+    its pending internal work ends only in its own on_internal: the world
+    schedules that work when it records a step that leaves the replica
+    busy, and once at construction for a replica busy from the start.
+    Code that changes a replica's state outside those handlers breaks the
+    recorded hashes and the scheduling.
+
+    Per world, link delays and clock skews are resolved once; per partition
+    epoch (the steps between two changes of the partition timeline), the
+    blocks, the majority block and the next change are.
     """
 
     def __init__(self, replicas, schedule: Schedule, workload,
@@ -284,16 +296,27 @@ class SimWorld:
         self._seq = 0
         self.messages = {}
         self._tob_pos = {}             # TOB msg id -> position in the total order
-        self.tob_pointer = [0] * len(self.replicas)
+        self._tob_order = []           # position -> TOB msg id
+        n = len(self.replicas)
+        self.tob_pointer = [0] * n
         # per replica: the mask of events whose RB / TOB message it delivered
-        self._rbdel = [0] * len(self.replicas)
-        self._tobdel = [0] * len(self.replicas)
+        self._rbdel = [0] * n
+        self._tobdel = [0] * n
         self._event_of_dot = {}        # req dot -> event id
-        self._digest = [None] * len(self.replicas)  # last hash_after
-        self.withheld = set()          # msg ids never delivered anywhere
+        self._digest = [None] * n      # last hash_after
+        # msg ids never delivered anywhere, and (msg id, dest) pairs never
+        # delivered at dest
+        self.withheld = set()
+        self._delay = [[schedule.link_delay(o, d) for d in range(n)]
+                       for o in range(n)]
+        self._skew = [schedule.skew(r) for r in range(n)]
+        # jitter is drawn as randrange(jitter + 1), randint(0, jitter)'s draw
+        self._jitter = schedule.jitter + 1 if schedule.jitter > 0 else 0
+        self._randrange = self.rng.randrange
+        self._enter_epoch()
         self._fifo_last_ready = {}
         self._pending_local = []
-        self._internal_scheduled = [False] * len(self.replicas)
+        self._internal_scheduled = [False] * n
         self._client_queue = {}
         self._waiting = set()          # clients awaiting a response
         for inv in workload:
@@ -303,37 +326,40 @@ class SimWorld:
         for client, q in sorted(self._client_queue.items()):
             self._push(q[0].at_step, CLASS_INVOKE, q[0].replica,
                        self._do_invoke, client)
+        for rid, rep in enumerate(self.replicas):
+            if rep.has_internal():
+                self._schedule_internal(rid)
 
     # -- scheduling ----------------------------------------------------
 
     def _push(self, ready, klass, replica, act, *args):
-        heapq.heappush(self._heap, (ready, klass, replica, self._seq, act, args))
+        heappush(self._heap, (ready, klass, replica, self._seq, act, args))
         self._seq += 1
 
     def clock(self, rid):
-        return self.now + self.schedule.skew(rid)
+        return self.now + self._skew[rid]
 
-    def _same_block(self, a, b):
-        blocks = self.schedule.blocks_at(self.now)
+    def _enter_epoch(self):
+        """Read the partition timeline at now: the block each replica is in
+        (None when no block holds it or no partition is in force), the
+        majority block, the next change, and the step at which any of these
+        may change next."""
+        schedule, now = self.schedule, self.now
+        blocks = schedule.blocks_at(now)
+        self._next_change = schedule.next_partition_change(now)
+        self._epoch_end = min((f for f, _ in schedule.partitions if f > now),
+                              default=float("inf"))
+        n = len(self.replicas)
         if blocks is None:
-            return True
-        for block in blocks:
-            if a in block:
-                return b in block
-        return True
+            self._block_of, self._majority = [None] * n, None
+            return
+        self._block_of = [next((b for b in blocks if r in b), None)
+                          for r in range(n)]
+        self._majority = set(max(blocks, key=lambda b: (len(b), -min(b))))
 
-    def _majority_block(self):
-        blocks = self.schedule.blocks_at(self.now)
-        if blocks is None:
-            return None
-        best = max(blocks, key=lambda b: (len(b), -min(b)))
-        return set(best)
-
-    def _refresh_internal(self):
-        for rid, rep in enumerate(self.replicas):
-            if rep.has_internal() and not self._internal_scheduled[rid]:
-                self._internal_scheduled[rid] = True
-                self._push(self.now, CLASS_INTERNAL, rid, self._do_internal, rid)
+    def _schedule_internal(self, rid):
+        self._internal_scheduled[rid] = True
+        self._push(self.now, CLASS_INTERNAL, rid, self._do_internal, rid)
 
     # -- casting -------------------------------------------------------
 
@@ -348,11 +374,13 @@ class SimWorld:
                 return msg
             self._sequence_tob(mid)
         else:
+            delays, jitter = self._delay[origin], self._jitter
             for dest in range(len(self.replicas)):
                 if dest == origin:
                     continue  # delivered to the caster synchronously below
-                ready = self.now + self.schedule.link_delay(origin, dest) \
-                    + self._jitter()
+                ready = self.now + delays[dest]
+                if jitter:
+                    ready += self._randrange(jitter)
                 if kind == FIFO_RB:
                     key = (origin, dest)
                     ready = max(ready, self._fifo_last_ready.get(key, -1) + 1)
@@ -366,13 +394,15 @@ class SimWorld:
         the majority cannot get its message sequenced until the partition
         timeline changes.  No replica acts, so this returns False."""
         origin = self.messages[mid].origin
-        majority = self._majority_block()
+        majority = self._majority
         if majority is not None and origin not in majority:
             return self._after_partition(mid, origin, self._sequence_tob, mid)
-        self._tob_pos[mid] = len(self._tob_pos)
+        self._tob_pos[mid] = len(self._tob_order)
+        self._tob_order.append(mid)
+        ready, jitter = self.now + self.schedule.tob_delay, self._jitter
         for dest in range(len(self.replicas)):
-            ready = self.now + self.schedule.tob_delay + self._jitter()
-            self._push(ready, CLASS_DELIVER, dest, self._do_tob, mid, dest)
+            self._push(ready + self._randrange(jitter) if jitter else ready,
+                       CLASS_DELIVER, dest, self._do_tob, mid, dest)
         return False
 
     def _flush_local(self):
@@ -385,27 +415,21 @@ class SimWorld:
 
     def _deliver(self, dest, msg, detail):
         """Deliver msg at dest and record the step with detail."""
-        before = self._digest_before(dest)
+        before = self._digest[dest] or self.replicas[dest].state_digest()
         effects = self.replicas[dest].on_deliver(msg.kind, msg)
         if msg.cast_event is not None:
             if msg.kind == RB:
                 self._rbdel[dest] |= 1 << msg.cast_event
             elif msg.kind == TOB:
                 self._tobdel[dest] |= 1 << msg.cast_event
-        casts, resps = self._apply_effects(dest, effects)
+        if effects.casts or effects.responses:
+            casts, resps = self._apply_effects(dest, effects)
+        else:
+            casts = resps = ()
         self._record(dest, "deliver", detail, before, casts, resps)
         return True
 
-    def _jitter(self):
-        if self.schedule.jitter <= 0:
-            return 0
-        return self.rng.randint(0, self.schedule.jitter)
-
     # -- effects and trace ---------------------------------------------
-
-    def _digest_before(self, rid):
-        digest = self._digest[rid]
-        return self.replicas[rid].state_digest() if digest is None else digest
 
     def _apply_effects(self, rid, effects: Effects, event=None):
         """Cast effects' messages, sent by event if any; record responses."""
@@ -453,12 +477,16 @@ class SimWorld:
                        nxt.replica, self._do_invoke, client)
 
     def _record(self, rid, kind, detail, before, casts, responses):
+        """Record rid's step, and schedule its internal work if the step
+        left it busy."""
         rep = self.replicas[rid]
         after = self._digest[rid] = rep.state_digest()
+        busy = rep.has_internal()
         self.trace.steps.append(StepRecord(
-            step=self.now, replica=rid, kind=kind, detail=detail,
-            hash_before=before, hash_after=after, casts=casts,
-            responses=responses, passive_after=not rep.has_internal()))
+            self.now, rid, kind, detail, before, after, casts, responses,
+            not busy))
+        if busy and not self._internal_scheduled[rid]:
+            self._schedule_internal(rid)
 
     # -- the step loop -------------------------------------------------
 
@@ -467,15 +495,20 @@ class SimWorld:
         True, popping deferred and dropped actions on the way; return False,
         recording nothing, when no action is left or, with a step_limit, the
         next is ready only after it."""
-        self._refresh_internal()
         heap = self._heap
         if step_limit is not None and heap and heap[0][0] > step_limit:
             return False
         while heap:
-            ready, klass, rid, seq, act, args = heapq.heappop(heap)
-            self.now = max(self.now + 1, ready)
+            ready, _, _, _, act, args = heappop(heap)
+            now = self.now + 1
+            if ready > now:
+                now = ready
+            self.now = now
+            if now >= self._epoch_end:
+                self._enter_epoch()
             if act(*args):
-                self._flush_local()
+                if self._pending_local:
+                    self._flush_local()
                 return True
         return False
 
@@ -486,11 +519,10 @@ class SimWorld:
             raise UnknownReplica(rid)
         rep = self.replicas[rid]
         eid = len(self.trace.events)
-        rec = EventRecord(event_id=eid, replica=rid, op=inv.op, level=inv.level,
-                          local_ro=rep.is_local_ro(inv.op, inv.level),
-                          client=client, invoke_step=self.now)
+        rec = EventRecord(eid, rid, inv.op, inv.level,
+                          rep.is_local_ro(inv.op, inv.level), client, self.now)
         self.trace.events[eid] = rec
-        before = self._digest_before(rid)
+        before = self._digest[rid] or rep.state_digest()
         effects = rep.on_invoke(eid, inv.op, inv.level, self.clock(rid))
         rec.req_dot = effects.req_dot
         if rec.req_dot is not None:
@@ -507,22 +539,31 @@ class SimWorld:
 
     def _do_deliver(self, mid, dest):
         msg = self.messages[mid]
-        if not self._same_block(msg.origin, dest):
+        block = self._block_of[msg.origin]
+        if block is not None and dest not in block:
             return self._after_partition((mid, dest), dest,
                                          self._do_deliver, mid, dest)
         return self._deliver(dest, msg, {"msg": mid, "kind": msg.kind})
 
     def _do_tob(self, mid, dest):
-        msg = self.messages[mid]
         idx = self._tob_pos[mid]
-        if idx != self.tob_pointer[dest]:
-            # out of order: retry after the earlier deliveries land
-            self._push(self.now + 1, CLASS_DELIVER, dest, self._do_tob, mid, dest)
+        pointer = self.tob_pointer[dest]
+        if idx != pointer:
+            withheld = self.withheld
+            if withheld and (self._tob_order[pointer], dest) in withheld:
+                # the delivery dest waits for is withheld, so this one is
+                withheld.add((mid, dest))
+            else:
+                # out of order: retry after the earlier deliveries land
+                heappush(self._heap, (self.now + 1, CLASS_DELIVER, dest,
+                                      self._seq, self._do_tob, (mid, dest)))
+                self._seq += 1
             return False
-        majority = self._majority_block()
+        majority = self._majority
         if majority is not None and dest not in majority:
             return self._after_partition((mid, dest), dest,
                                          self._do_tob, mid, dest)
+        msg = self.messages[mid]
         if msg.cast_event is not None:
             # an event's number is that of its highest delivered position
             rec = self.trace.events[msg.cast_event]
@@ -534,11 +575,10 @@ class SimWorld:
     def _after_partition(self, key, dest, *action):
         """Push action at the next partition change, or else add key to
         withheld; no replica acts, so this returns False."""
-        change = self.schedule.next_partition_change(self.now)
-        if change is None:
+        if self._next_change is None:
             self.withheld.add(key)
         else:
-            self._push(change, CLASS_DELIVER, dest, *action)
+            self._push(self._next_change, CLASS_DELIVER, dest, *action)
         return False
 
     def _do_internal(self, rid):
@@ -546,7 +586,7 @@ class SimWorld:
         rep = self.replicas[rid]
         if not rep.has_internal():
             return False
-        before = self._digest_before(rid)
+        before = self._digest[rid] or rep.state_digest()
         effects = rep.on_internal()
         casts, resps = self._apply_effects(rid, effects)
         self._record(rid, "internal", {}, before, casts, resps)
@@ -582,93 +622,81 @@ STRONG_BUDGET = 200  # rule 5: steps from the last TOB delivery to the answer
 
 
 def check_act_restrictions(trace: ProtocolTrace) -> PredicateReport:
-    """Check the five replica-implementation rules on a recorded trace."""
-    subs = []
+    """Check the five replica-implementation rules on a recorded trace, in
+    one walk along its steps and one along its events.
 
-    # rule 1: weak read-only invokes leave the state untouched and answer
-    # in the invoke step itself
-    bad = []
+      1. invisible_reads: a weak read-only invoke leaves the state
+         untouched and answers in the invoke step itself.
+      2. input_driven_processing: internal steps happen only between an
+         external stimulus (an invoke or a delivery) and the next passive
+         state.
+      3. op_driven_messages: a step casts only after some invoke of an
+         operation that is not read-only.
+      4. highly_available_weak: a weak operation answers with no delivery
+         at its replica after its invoke step.
+      5. non_blocking_strong: a strong operation answers within
+         STRONG_BUDGET steps of the last TOB delivery, at its own replica,
+         of the messages its invoke cast.
+    """
+    bad1, bad2, bad3 = [], [], []
+    active = {}             # replica -> between a stimulus and passivity
+    saw_update_invoke = False
+    deliver_steps = {}      # replica -> steps of its deliveries
+    tob_casts = {}          # event id -> TOB msg ids its invoke cast
+    tob_delivered = {}      # (msg, replica) -> step
     for rec in trace.steps:
-        if rec.kind != "invoke" or not rec.detail.get("ro"):
-            continue
-        if rec.detail.get("level") != "weak":
-            continue
-        eid = rec.detail["event"]
-        if rec.hash_before != rec.hash_after:
-            bad.append((eid, "state changed"))
-        if eid not in rec.responses:
-            bad.append((eid, "no response in the invoke step"))
-    subs.append(report("invisible_reads", None, bad))
-
-    # rule 2: internal events happen only between an external stimulus and
-    # the next passive state
-    bad = []
-    active = {}
-    for rec in trace.steps:
-        rid = rec.replica
-        if rec.kind in ("invoke", "deliver"):
+        kind, rid, detail = rec.kind, rec.replica, rec.detail
+        if kind == "invoke":
             active[rid] = True
-        elif rec.kind == "internal" and not active.get(rid, False):
-            bad.append((rec.step, rid))
+            if not detail.get("ro"):
+                saw_update_invoke = True
+            elif detail.get("level") == "weak":
+                eid = detail["event"]
+                if rec.hash_before != rec.hash_after:
+                    bad1.append((eid, "state changed"))
+                if eid not in rec.responses:
+                    bad1.append((eid, "no response in the invoke step"))
+            eid = detail.get("event")
+            if eid is not None:
+                for mid, cast_kind in rec.casts:
+                    if cast_kind == TOB:
+                        tob_casts.setdefault(eid, []).append(mid)
+        elif kind == "deliver":
+            active[rid] = True
+            deliver_steps.setdefault(rid, []).append(rec.step)
+            if detail.get("kind") == TOB:
+                tob_delivered[detail["msg"], rid] = rec.step
+        elif kind == "internal" and not active.get(rid, False):
+            bad2.append((rec.step, rid))
+        if rec.casts and not saw_update_invoke:
+            bad3.append((rec.step, rid))
         if rec.passive_after:
             active[rid] = False
-    subs.append(report("input_driven_processing", None, bad))
-
-    # rule 3: broadcasts require a previously invoked non-read-only operation
-    bad = []
-    saw_update_invoke = False
-    for rec in trace.steps:
-        if rec.kind == "invoke" and not rec.detail.get("ro"):
-            saw_update_invoke = True
-        if rec.casts and not saw_update_invoke:
-            bad.append((rec.step, rec.replica))
-    subs.append(report("op_driven_messages", None, bad))
-
-    # rule 4: weak operations return without awaiting deliveries
-    bad = []
-    deliver_steps = {}  # replica -> sorted steps of its deliveries
-    for rec in trace.steps:
-        if rec.kind == "deliver":
-            deliver_steps.setdefault(rec.replica, []).append(rec.step)
     for steps in deliver_steps.values():
         steps.sort()
-    for eid, ev in sorted(trace.events.items()):
-        if ev.level != "weak":
-            continue
-        if ev.return_step is None:
-            bad.append((eid, "weak operation never returned"))
-            continue
-        steps = deliver_steps.get(ev.replica, ())
-        i = bisect_right(steps, ev.invoke_step)
-        if i < len(steps) and steps[i] <= ev.return_step:
-            bad.append((eid, "awaited a delivery at step %d" % steps[i]))
-    subs.append(report("highly_available_weak", None, bad))
 
-    # rule 5: a strong operation returns within a bounded number of steps
-    # after its last TOB-cast message is TOB-delivered at its own replica
-    bad = []
-    tob_casts = {}  # event id -> list of msg ids
-    for rec in trace.steps:
-        for mid, kind in rec.casts:
-            if kind != TOB:
+    bad4, bad5 = [], []
+    for eid, ev in sorted(trace.events.items()):
+        if ev.level == "weak":
+            if ev.return_step is None:
+                bad4.append((eid, "weak operation never returned"))
                 continue
-            eid = rec.detail.get("event")
-            if rec.kind == "invoke" and eid is not None:
-                tob_casts.setdefault(eid, []).append(mid)
-    deliveries = {}  # (msg, replica) -> step
-    for rec in trace.steps:
-        if rec.kind == "deliver" and rec.detail.get("kind") == TOB:
-            deliveries[(rec.detail["msg"], rec.replica)] = rec.step
-    for eid, ev in sorted(trace.events.items()):
-        if ev.level != "strong" or eid not in tob_casts:
-            continue
-        steps = [deliveries.get((m, ev.replica)) for m in tob_casts[eid]]
-        if any(s is None for s in steps):
-            continue  # undelivered: the operation may legitimately pend
-        deadline = max(steps) + STRONG_BUDGET
-        if ev.return_step is None or ev.return_step > deadline:
-            bad.append((eid, "no response by step %d" % deadline))
-    subs.append(report("non_blocking_strong", None, bad))
+            steps = deliver_steps.get(ev.replica, ())
+            i = bisect_right(steps, ev.invoke_step)
+            if i < len(steps) and steps[i] <= ev.return_step:
+                bad4.append((eid, "awaited a delivery at step %d" % steps[i]))
+        elif ev.level == "strong" and eid in tob_casts:
+            steps = [tob_delivered.get((m, ev.replica))
+                     for m in tob_casts[eid]]
+            if any(s is None for s in steps):
+                continue  # undelivered: the operation may legitimately pend
+            deadline = max(steps) + STRONG_BUDGET
+            if ev.return_step is None or ev.return_step > deadline:
+                bad5.append((eid, "no response by step %d" % deadline))
 
+    subs = [report(name, None, bad) for name, bad in (
+        ("invisible_reads", bad1), ("input_driven_processing", bad2),
+        ("op_driven_messages", bad3), ("highly_available_weak", bad4),
+        ("non_blocking_strong", bad5))]
     return report("act_restrictions", None,
                   [s.predicate for s in subs if not s.ok], subs)

@@ -9,17 +9,25 @@ prefix fold plus a short tail, and the multi-value register's F on a
 materialised context, as it was before it answered from masks; an
 execution's restriction with vis decoded into pairs, as it was before it
 renumbered masks; each replica's state rendered from scratch, as it was
-before replicas kept their state text current; and a tentative-log
-replica's answer read off its whole log, as it was before the replica kept
-its committed dots and text."""
+before replicas kept their state text current, and its digest hashed from
+the whole state's text, as it was before replicas kept the hash of their
+leading text; a tentative-log replica's answer read off its whole log, as it
+was before the replica kept its committed dots and text; the simulator's
+partition reads scanning the timeline, as they were before the world cached
+them per partition epoch; and the implementation-rule lints in five walks
+along the trace, as they were before they took one."""
+
+import hashlib
+from bisect import bisect_right
 
 from actsim.model import (OK, STRONG, AbstractExecution, Relation, bits,
                           find_cycle, foldr, rv_set, rv_str, session_order)
 from actsim.predicates import (HOLDS, VACUOUS, VIOLATED, PredicateReport,
-                               _path_nodes, _tail_events)
+                               _path_nodes, _tail_events, report)
 from actsim.protocols import (ClassicLogReplica, MixedLogReplica, NncReplica,
                               RedBlueReplica)
 from actsim.rdt import BadOperation
+from actsim.simnet import STRONG_BUDGET, TOB
 
 
 def insert_after_anchor(base, rb, locals_, is_anchor):
@@ -334,3 +342,114 @@ def mixed_log_answer(op, reqs):
         return snapshot, OK
     return snapshot, rv_str("".join(r.op.args[0] for r in reqs
                                     if r.op.name == "append"))
+
+
+def state_digest(replica):
+    """sha256 over the repr of the replica's whole state."""
+    return hashlib.sha256(
+        repr(replica._state_repr()).encode()).hexdigest()[:16]
+
+
+# -- the simulator's partition reads, scanning the timeline --------------
+
+def same_block(schedule, now, a, b):
+    blocks = schedule.blocks_at(now)
+    if blocks is None:
+        return True
+    for block in blocks:
+        if a in block:
+            return b in block
+    return True
+
+
+def majority_block(schedule, now):
+    blocks = schedule.blocks_at(now)
+    if blocks is None:
+        return None
+    return set(max(blocks, key=lambda b: (len(b), -min(b))))
+
+
+# -- the implementation-rule lints, one walk per rule --------------------
+
+def check_act_restrictions(trace):
+    subs = []
+
+    bad = []
+    for rec in trace.steps:
+        if rec.kind != "invoke" or not rec.detail.get("ro"):
+            continue
+        if rec.detail.get("level") != "weak":
+            continue
+        eid = rec.detail["event"]
+        if rec.hash_before != rec.hash_after:
+            bad.append((eid, "state changed"))
+        if eid not in rec.responses:
+            bad.append((eid, "no response in the invoke step"))
+    subs.append(report("invisible_reads", None, bad))
+
+    bad = []
+    active = {}
+    for rec in trace.steps:
+        rid = rec.replica
+        if rec.kind in ("invoke", "deliver"):
+            active[rid] = True
+        elif rec.kind == "internal" and not active.get(rid, False):
+            bad.append((rec.step, rid))
+        if rec.passive_after:
+            active[rid] = False
+    subs.append(report("input_driven_processing", None, bad))
+
+    bad = []
+    saw_update_invoke = False
+    for rec in trace.steps:
+        if rec.kind == "invoke" and not rec.detail.get("ro"):
+            saw_update_invoke = True
+        if rec.casts and not saw_update_invoke:
+            bad.append((rec.step, rec.replica))
+    subs.append(report("op_driven_messages", None, bad))
+
+    bad = []
+    deliver_steps = {}
+    for rec in trace.steps:
+        if rec.kind == "deliver":
+            deliver_steps.setdefault(rec.replica, []).append(rec.step)
+    for steps in deliver_steps.values():
+        steps.sort()
+    for eid, ev in sorted(trace.events.items()):
+        if ev.level != "weak":
+            continue
+        if ev.return_step is None:
+            bad.append((eid, "weak operation never returned"))
+            continue
+        steps = deliver_steps.get(ev.replica, ())
+        i = bisect_right(steps, ev.invoke_step)
+        if i < len(steps) and steps[i] <= ev.return_step:
+            bad.append((eid, "awaited a delivery at step %d" % steps[i]))
+    subs.append(report("highly_available_weak", None, bad))
+
+    bad = []
+    tob_casts = {}
+    for rec in trace.steps:
+        for mid, kind in rec.casts:
+            if kind != TOB:
+                continue
+            eid = rec.detail.get("event")
+            if rec.kind == "invoke" and eid is not None:
+                tob_casts.setdefault(eid, []).append(mid)
+    deliveries = {}
+    for rec in trace.steps:
+        if rec.kind == "deliver" and rec.detail.get("kind") == TOB:
+            deliveries[(rec.detail["msg"], rec.replica)] = rec.step
+    for eid, ev in sorted(trace.events.items()):
+        if ev.level != "strong" or eid not in tob_casts:
+            continue
+        steps = [deliveries.get((m, ev.replica)) for m in tob_casts[eid]]
+        if any(s is None for s in steps):
+            continue
+        deadline = max(steps) + STRONG_BUDGET
+        if ev.return_step is None or ev.return_step > deadline:
+            bad.append((eid, "no response by step %d" % deadline))
+    subs.append(report("non_blocking_strong", None, bad))
+
+    return report("act_restrictions", None,
+                  [s.predicate for s in subs if not s.ok], subs)

@@ -9,6 +9,7 @@ intended.
 import hashlib
 import json
 import os
+import random
 import sys
 
 import pytest
@@ -201,16 +202,38 @@ def random_run_outputs(seed):
 
 
 def test_random_runs_keep_their_pinned_outputs():
+    """Every pinned run keeps its outputs.  A null entry is a run that,
+    when it was recorded, retried a TOB delivery behind a withheld one
+    forever; it now returns, with that delivery withheld."""
     with open(RANDOM_RUNS) as f:
         pinned = json.load(f)
     assert sorted(map(int, pinned)) == list(RANDOM_SEEDS)
-    kept = 0
+    kept = stranded = 0
     for seed, want in pinned.items():
+        got = random_run_outputs(int(seed))
         if want is None:
-            continue    # the run did not return when it was recorded
-        assert random_run_outputs(int(seed)) == want, seed
-        kept += 1
-    assert kept > 250
+            assert got["withheld"] > 0, seed
+            stranded += 1
+        else:
+            assert got == want, seed
+            kept += 1
+    assert kept > 250 and stranded > 10
+
+
+def test_a_delivery_behind_a_withheld_one_is_withheld_too():
+    # replica 2 is cut off from step 2 on, so neither TOB message reaches
+    # it; the second one used to retry behind the first forever
+    world = run_world([NncReplica(i) for i in range(3)],
+                      [Invoke(3, "c0", 0, lab("add", 1), WEAK),
+                       Invoke(4, "c1", 1, lab("add", 2), WEAK)],
+                      rb_delay=2, tob_delay=4,
+                      partitions=((2, ((0, 1), (2,))),))
+    tob = [m.id for m in world.messages.values() if m.kind == TOB]
+    rb = [m.id for m in world.messages.values() if m.kind != TOB]
+    assert world.now == 14
+    assert world.withheld == {(mid, 2) for mid in tob + rb}
+    assert world.tob_pointer == [2, 2, 0]
+    assert check_act_restrictions(world.trace).ok
 
 
 def test_trace_json_round_trip():
@@ -365,6 +388,65 @@ def test_digests_equal_those_of_a_from_scratch_render(monkeypatch):
         "ChattyGetReplica", "SlowAddReplica", "MuteSubtractReplica"}
 
 
+def rehashing(cls):
+    """A subclass of `cls` that hashes its whole state afresh, as the
+    reference does, on entering and on leaving each handler."""
+
+    class Rehashing(cls):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.entry_digests, self.exit_digests = [], []
+
+        def _handle(self, handler, *args):
+            self.entry_digests.append(reference.state_digest(self))
+            eff = handler(*args)
+            self.exit_digests.append(reference.state_digest(self))
+            return eff
+
+        def on_invoke(self, *args):
+            return self._handle(super().on_invoke, *args)
+
+        def on_deliver(self, *args):
+            return self._handle(super().on_deliver, *args)
+
+        def on_internal(self):
+            return self._handle(super().on_internal)
+
+    Rehashing.__name__ = cls.__name__
+    return Rehashing
+
+
+def test_state_digests_equal_a_full_rehash_at_every_step(monkeypatch):
+    """The recorded digests, which hash the leading text once per change
+    and then only the rest of the state, equal sha256 over the whole
+    state's text before and after every step, on random worlds of every
+    replica class and on the five mutants."""
+    checked = {}
+
+    def check(world, label):
+        for rid, rep in enumerate(world.replicas):
+            steps = [s for s in world.trace.steps if s.replica == rid]
+            assert [s.hash_before for s in steps] == rep.entry_digests, label
+            assert [s.hash_after for s in steps] == rep.exit_digests, label
+            name = type(rep).__name__
+            checked[name] = checked.get(name, 0) + len(steps)
+
+    for module in (runs, mutants):
+        _wrap_replicas(monkeypatch, module, rehashing)
+    for seed in range(80):
+        world, probe = runs.random_world(seed, max_events=30)
+        world.run_to_quiescence()
+        harness.inject_probes(world, probe, WEAK)
+        check(world, seed)
+    for rule, world in mutants.mutant_runs():
+        check(world, rule)
+    assert set(checked) == {
+        "NncReplica", "MixedLogReplica", "ClassicLogReplica",
+        "RedBlueReplica", "VisibleGetReplica", "RestlessReplica",
+        "ChattyGetReplica", "SlowAddReplica", "MuteSubtractReplica"}
+    assert min(checked.values()) > 0
+
+
 def answer_checking(cls, checked):
     """A subclass of the tentative-log replica `cls` that compares each
     response with the answer read off its whole log from scratch."""
@@ -418,11 +500,24 @@ class DigestCountingReplica(NncReplica):
         return super().state_digest()
 
 
+class CountingHashlib:
+    """Stands in for `hashlib` in `protocols`: counts sha256 states begun."""
+
+    def __init__(self):
+        self.begun = 0
+
+    def sha256(self, data=b""):
+        self.begun += 1
+        return hashlib.sha256(data)
+
+
 def test_state_digests_grow_linearly_with_the_steps(monkeypatch):
     monkeypatch.setattr(DigestCountingReplica, "calls", 0)
     renders = []
     monkeypatch.setattr(protocols, "_render",
                         lambda obj: renders.append(obj) or repr(obj))
+    counting = CountingHashlib()
+    monkeypatch.setattr(protocols, "hashlib", counting)
     workload = []
     for i in range(150):
         kind = ("add", "get", "add", "get", "subtract")[i % 5]
@@ -442,6 +537,9 @@ def test_state_digests_grow_linearly_with_the_steps(monkeypatch):
     # however many steps hash the state afterwards
     assert len(renders) == sum(len(r.known_adds) for r in world.replicas)
     assert len(renders) < len(world.trace.steps)
+    # each version of a replica's known adds, from the empty one on, is
+    # hashed once; a step hashes only the rest of the state after it
+    assert counting.begun == len(renders) + len(world.replicas)
 
 
 def test_delivered_sets_are_masks_of_the_delivered_events():
@@ -495,29 +593,92 @@ def test_slow_add_reports_the_first_delivery_it_awaited():
     assert sub.counterexample == ((0, "awaited a delivery at step 4"),)
 
 
+def _random_timeline(rng, n):
+    """Up to four partition entries at random steps, in any order and with
+    repeated steps, each splitting the n replicas into blocks that may
+    leave a replica out."""
+    timeline = []
+    for _ in range(rng.randint(0, 4)):
+        ids = rng.sample(range(n), rng.randint(1, n))
+        cut = rng.randint(0, len(ids))
+        blocks = tuple(b for b in (tuple(ids[:cut]), tuple(ids[cut:])) if b)
+        timeline.append((rng.randint(0, 40), blocks))
+    return tuple(timeline)
+
+
+def test_partition_reads_follow_the_timeline_at_every_step():
+    """The partition epoch the world caches answers as scanning the
+    timeline would, at every step, however the timeline is ordered."""
+    rng = random.Random(3)
+    checked = 0
+    for seed in range(150):
+        n = rng.randint(2, 4)
+        schedule = Schedule(seed=seed, rb_delay=rng.randint(1, 4),
+                            tob_delay=rng.randint(2, 6), jitter=2,
+                            partitions=_random_timeline(rng, n))
+        workload = [Invoke(1 + 3 * i, "c%d" % i, rng.randrange(n),
+                           lab("add", 1) if i % 3 else lab("get"), WEAK)
+                    for i in range(8)]
+        world = SimWorld([NncReplica(i) for i in range(n)], schedule,
+                         workload, protocol="nnc")
+        while world.step():
+            now = world.now
+            assert world._majority == reference.majority_block(schedule, now)
+            assert world._next_change == \
+                schedule.next_partition_change(now)
+            for a in range(n):
+                block = world._block_of[a]
+                for b in range(n):
+                    assert (block is None or b in block) == \
+                        reference.same_block(schedule, now, a, b)
+            checked += 1
+    assert checked > 1000
+
+
+def _perturbed(trace, rng):
+    """A copy of trace with some steps' kinds, passivity, hashes, casts
+    and responses changed at random, and some events' levels."""
+    out = ProtocolTrace.from_json(trace.to_json())
+    for rec in out.steps:
+        if rng.random() < 0.2:
+            rec.kind = rng.choice(("invoke", "deliver", "internal"))
+        if rng.random() < 0.2:
+            rec.passive_after = not rec.passive_after
+        if rng.random() < 0.1:
+            rec.hash_after = "x"
+        if rng.random() < 0.1:
+            rec.responses = ()
+        if rng.random() < 0.1:
+            rec.casts = rec.casts + ((len(trace.steps), TOB),)
+    for ev in out.events.values():
+        if rng.random() < 0.1:
+            ev.level = rng.choice((WEAK, STRONG))
+    return out
+
+
+def test_lints_equal_the_five_walk_reference():
+    """One walk along the trace reports exactly what one walk per rule
+    did, on the mutants, on random worlds, and on their traces perturbed
+    so that every rule fails somewhere."""
+    rng = random.Random(11)
+    traces = [world.trace for _, world in mutant_runs()]
+    for seed in range(60):
+        world, probe = runs.random_world(seed)
+        world.run_to_quiescence()
+        traces.append(world.trace)
+    traces += [_perturbed(t, rng) for t in traces for _ in range(3)]
+    failed = set()
+    for trace in traces:
+        got = check_act_restrictions(trace)
+        assert got == reference.check_act_restrictions(trace)
+        failed.update(s.predicate for s in got.sub_reports if not s.ok)
+    assert failed == set(RULES)
+
+
 if __name__ == "__main__":
-    # a run that makes this many total-order delivery attempts is taken to
-    # retry forever and is recorded as null
-    attempts = [0]
-    do_tob = SimWorld._do_tob
-
-    def counted(self, mid, dest):
-        attempts[0] += 1
-        if attempts[0] > 20000:
-            raise StepBudgetExceeded(attempts[0])
-        return do_tob(self, mid, dest)
-
-    SimWorld._do_tob = counted
-    record = {}
-    for seed in RANDOM_SEEDS:
-        attempts[0] = 0
-        try:
-            record[str(seed)] = random_run_outputs(seed)
-        except StepBudgetExceeded:
-            record[str(seed)] = None
+    record = {str(seed): random_run_outputs(seed) for seed in RANDOM_SEEDS}
     with open(RANDOM_RUNS, "w") as f:
         json.dump(record, f, indent=1, sort_keys=True)
         f.write("\n")
-    print("recorded %d runs (%d did not return) in %s"
-          % (len(record), sum(v is None for v in record.values()),
-             RANDOM_RUNS), file=sys.stderr)
+    print("recorded %d runs in %s" % (len(record), RANDOM_RUNS),
+          file=sys.stderr)
