@@ -310,8 +310,9 @@ class SimWorld:
         self._delay = [[schedule.link_delay(o, d) for d in range(n)]
                        for o in range(n)]
         self._skew = [schedule.skew(r) for r in range(n)]
-        # jitter is drawn as randrange(jitter + 1), randint(0, jitter)'s draw
-        self._jitter = schedule.jitter + 1 if schedule.jitter > 0 else 0
+        # jitter is drawn as randrange(jitter + 1), which is the draw
+        # randint(0, jitter) makes; 0 means no jitter
+        self._jitter_bound = schedule.jitter + 1 if schedule.jitter > 0 else 0
         self._randrange = self.rng.randrange
         self._enter_epoch()
         self._fifo_last_ready = {}
@@ -374,7 +375,7 @@ class SimWorld:
                 return msg
             self._sequence_tob(mid)
         else:
-            delays, jitter = self._delay[origin], self._jitter
+            delays, jitter = self._delay[origin], self._jitter_bound
             for dest in range(len(self.replicas)):
                 if dest == origin:
                     continue  # delivered to the caster synchronously below
@@ -399,7 +400,7 @@ class SimWorld:
             return self._after_partition(mid, origin, self._sequence_tob, mid)
         self._tob_pos[mid] = len(self._tob_order)
         self._tob_order.append(mid)
-        ready, jitter = self.now + self.schedule.tob_delay, self._jitter
+        ready, jitter = self.now + self.schedule.tob_delay, self._jitter_bound
         for dest in range(len(self.replicas)):
             self._push(ready + self._randrange(jitter) if jitter else ready,
                        CLASS_DELIVER, dest, self._do_tob, mid, dest)

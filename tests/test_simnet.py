@@ -175,7 +175,8 @@ def test_run_until_stops_at_the_step_limit():
                 Invoke(30, "c1", 1, lab("get"), WEAK)]
     world = SimWorld(replicas, Schedule(rb_delay=2, tob_delay=3), workload)
     world.run_until(20)
-    assert all(r <= 20 for r, *_ in world._heap) is False or world._heap
+    assert world.now <= 20
+    assert world._heap and all(r > 20 for r, *_ in world._heap)
     invoked = [r.detail.get("event") for r in world.trace.steps
                if r.kind == "invoke"]
     assert invoked == [0]
