@@ -2,9 +2,9 @@
 
 A scenario is a frozen `Scenario` record.  A simulated one names its
 replicas, schedule and scripted workload, and the probe each replica answers
-once the run quiesces; the fixture scenario names a history instead.  Both
-also name the operation levels their data type allows (`ActSpec`), a
-witness builder, the predicates to check and the facts to report.
+once the run quiesces; the fixture scenario names a history instead, and
+its operation levels (`ActSpec`; a simulated run takes its replicas').
+Both name a witness builder, the predicates to check and the facts to report.
 `run_scenario` runs any record the same way: simulate (through an optional
 split step) to quiescence, inject the tail probes, extract the history,
 enforce the `ActSpec`, build the witness, check, and collect the extras.  A
@@ -22,7 +22,7 @@ from .model import (Event, History, OK, OperationLabel, PENDING, STRONG, WEAK,
 from .predicates import HOLDS, HorizonConfig, PredicateReport, VIOLATED, check
 from .protocols import (ClassicLogReplica, MixedLogReplica, NncReplica,
                         RedBlueReplica)
-from .rdt import ACT_NNC, ACT_SEQ_MIXED, ACT_SEQ_REDBLUE, ActSpec, F_SEQ
+from .rdt import ACT_SEQ_MIXED, ActSpec, F_SEQ
 from .simnet import Invoke, Schedule, SimWorld
 from .witness import (brute_force_witness, build_causal_witness,
                       build_log_witness, build_nnc_witness)
@@ -90,7 +90,7 @@ class Scenario:
     probe: Optional[OperationLabel] = None   # a weak probe per replica ...
     probe_count: int = 3                     # ... this many times each
     fixture: Optional[Callable] = None       # () -> History, with no replicas
-    act: Optional[ActSpec] = None            # operation levels the run obeys
+    act: Optional[ActSpec] = None            # the fixture's operation levels
     witness: Optional[Callable] = None       # (history, world) -> (label, A)
     checks: tuple = ()                       # (predicate, level) pairs
     split_step: Optional[int] = None         # run to here, note divergence
@@ -117,9 +117,10 @@ def run_scenario(scenario, seed=0, mode=None):
                                          sc.probe_count))
         trace = world.trace
         history = history_of(trace)
-    if sc.act is not None:
-        sc.act.check_history(history)
-    rdt = sc.act.rdt if sc.act is not None else None
+    act = sc.act if world is None else world.replicas[0].act
+    if act is not None:
+        act.check_history(history)
+    rdt = act.rdt if act is not None else None
     art = RunArtifact(sc.name, mode, history, trace, extras=extras,
                       world=world, horizon=hz)
     if sc.witness is not None:
@@ -212,7 +213,7 @@ def _impossibility_extras(art):
 # when a run starts
 _COUNTER = dict(
     replicas=lambda: [NncReplica(i) for i in range(3)],
-    protocol="nnc", probe=op("get"), act=ACT_NNC,
+    protocol="nnc", probe=op("get"),
     witness=lambda h, world: (
         "counter", build_nnc_witness(h, world.trace, world.mode)))
 
@@ -232,7 +233,7 @@ _PRIMARY_COMMIT = dict(
 
 _TENTATIVE_LOG = dict(
     replicas=lambda: [MixedLogReplica(0), MixedLogReplica(1)],
-    protocol="log", probe=op("read"), act=ACT_SEQ_MIXED,
+    protocol="log", probe=op("read"),
     witness=lambda h, world: (
         "log", build_log_witness(h, world.trace, world.mode)),
     checks=(("FEC", WEAK), ("Lin", STRONG)))
@@ -325,7 +326,7 @@ SCENARIOS = {sc.name: sc for sc in (
             Invoke(5, "c2", 1, op("append", ("b",)), WEAK),
             Invoke(8, "c3", 1, op("read"), WEAK),
         ),
-        probe=op("read"), probe_count=1, act=ACT_SEQ_REDBLUE,
+        probe=op("read"), probe_count=1,
         extras=lambda art: {
             "anomaly_read": rvals_named(art.history, "c3"),
             "final_reads": [e.rval.value for e in art.history

@@ -218,9 +218,6 @@ class Relation:
     def has(self, a, b):
         return bool(self._p.get(b, 0) >> a & 1)
 
-    def pred(self, b):
-        return frozenset(bits(self._p.get(b, 0)))
-
     def pred_mask(self, b) -> int:
         """The predecessors of b as a bitmask."""
         return self._p.get(b, 0)
@@ -251,9 +248,6 @@ class Relation:
 
     def __eq__(self, other):
         return isinstance(other, Relation) and self._p == other._p
-
-    def __hash__(self):
-        return hash(frozenset(self._p.items()))
 
     def __repr__(self):
         return "Relation(%r)" % sorted(self.edges)

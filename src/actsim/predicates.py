@@ -96,7 +96,7 @@ def check_EV(a: AbstractExecution, l: str, hz: HorizonConfig) -> PredicateReport
         return PredicateReport("EV", l, VACUOUS)
     rb = a.history.rb
     bad = [(e, e2) for e2 in _tail_events(a, l, hz)
-           for e in rb.pred(e2) - a.vis.pred(e2)]
+           for e in bits(rb.pred_mask(e2) & ~a.vis.pred_mask(e2))]
     return report("EV", l, sorted(bad))
 
 

@@ -12,7 +12,9 @@ Four protocols run over the simulated network:
     via TOB.
 
 Replicas expose on_invoke / on_deliver / on_internal / has_internal plus a
-state digest, and answer through Effects records.
+state digest, and answer through Effects records.  Each class names the
+`ActSpec` it implements as `act` (the primary-commit log names none), whose
+data type alone declares which operations read or write the state.
 
 The world hashes a replica's state after every step, so the state's text is
 kept current as the state changes instead of being rendered afresh each
@@ -40,6 +42,7 @@ from dataclasses import dataclass, field
 from functools import cache
 
 from .model import OK, OperationLabel, STRONG, WEAK, rv_int, rv_bool, rv_str
+from .rdt import ACT_NNC, ACT_SEQ_MIXED, ACT_SEQ_REDBLUE
 from .simnet import Effects, FIFO_RB, RB, Response, TOB
 
 
@@ -153,6 +156,8 @@ class RenderedLog(list):
 
 
 class Replica:
+    act = None      # the ActSpec the replica implements, if any
+
     def __init__(self, rid):
         self.rid = rid
         self._seq = 0
@@ -165,16 +170,13 @@ class Replica:
         self._seq += 1
         return (self.rid, self._seq)
 
-    def is_local_ro(self, op, level):
-        return False
-
     def has_internal(self):
         return False
 
     def on_internal(self):
         return Effects()
 
-    def on_deliver(self, kind, msg):
+    def on_deliver(self, msg):
         return Effects()
 
     def state_digest(self):
@@ -214,15 +216,14 @@ class NncReplica(Replica):
     plus its own amount.
     """
 
+    act = ACT_NNC
+
     def __init__(self, rid):
         super().__init__(rid)
         self.known_adds = RenderedDict()  # dot -> amount, seen via RB or TOB
         self.committed_add = 0
         self.committed_sub = 0
         self.awaiting = {}       # dot -> event id of my undecided subtract
-
-    def is_local_ro(self, op, level):
-        return op.name == "get"
 
     def _state_repr(self):
         return (self.known_adds.text(), self.committed_add,
@@ -253,11 +254,11 @@ class NncReplica(Replica):
                            req_dot=dot)
         raise ValueError(op.name)
 
-    def on_deliver(self, kind, msg):
+    def on_deliver(self, msg):
         tag, dot, amount = msg.payload
         if tag == "ADD":
             self.known_adds.setdefault(dot, amount)
-            if kind == TOB:
+            if msg.kind == TOB:
                 self.committed_add += amount
             return Effects()
         # committed subtract: decided identically at every replica
@@ -301,7 +302,7 @@ class LogReplica(Replica):
             self.known.add(req.dot)
         self.tentative = tentative
 
-    def on_deliver(self, kind, msg):
+    def on_deliver(self, msg):
         tag, req = msg.payload
         if tag == "ISSUE":
             if req.dot not in self.known:
@@ -329,14 +330,13 @@ class MixedLogReplica(LogReplica):
     to the few tentative requests instead of walking the whole log.
     """
 
+    act = ACT_SEQ_MIXED
+
     def __init__(self, rid):
         super().__init__(rid)
         self.awaiting = {}             # dot -> event id of my strong op
         self._committed_dots = ()      # the dots of self.committed
         self._committed_text = ""      # what the committed appends spell
-
-    def is_local_ro(self, op, level):
-        return op.name == "read" and level == WEAK
 
     def _state_repr(self):
         return (self.committed.text(), [r.dot for r in self.tentative],
@@ -358,7 +358,7 @@ class MixedLogReplica(LogReplica):
                                 + "".join(map(_appended, self.tentative)))
 
     def on_invoke(self, event_id, op, level, now_clock):
-        if self.is_local_ro(op, level):
+        if op.name == "read" and level == WEAK:
             snapshot, value = self._answer(op)
             return Effects(responses=[
                 Response(event_id, value, trace_snapshot=snapshot)])
@@ -374,8 +374,8 @@ class MixedLogReplica(LogReplica):
         self.awaiting[req.dot] = event_id
         return Effects(casts=[(TOB, ("COMMIT", req))], req_dot=req.dot)
 
-    def on_deliver(self, kind, msg):
-        eff = super().on_deliver(kind, msg)
+    def on_deliver(self, msg):
+        eff = super().on_deliver(msg)
         tag, req = msg.payload
         if tag == "COMMIT" and req.dot in self.awaiting:
             # the committed prefix before req; req itself appends nothing
@@ -430,8 +430,6 @@ PROGRAMS = {
     "upd_y": prog_upd_y,
     "read_z": prog_read_z,
 }
-
-READONLY_PROGRAMS = {"read_z"}
 
 
 def replay(reqs):
@@ -488,7 +486,7 @@ class ClassicLogReplica(LogReplica):
         self._insert_tentative(req)
         results = replay(self.committed + self.tentative)
         value, edges = results[req.dot]
-        rv = OK if op.name not in READONLY_PROGRAMS else rv_int(value or 0)
+        rv = OK if value is None else rv_int(value)
         return Effects(
             casts=[(RB, ("ISSUE", req))],
             responses=[Response(event_id, rv,
@@ -503,14 +501,13 @@ class RedBlueReplica(Replica):
     """Shadow-operation log: blue appends over RB, red appends over TOB,
     reads sort the delivered shadows by (Lamport clock, payload)."""
 
+    act = ACT_SEQ_REDBLUE
+
     def __init__(self, rid):
         super().__init__(rid)
         self.lc = 0
         self.shadows = RenderedDict()  # dot -> (payload, lc at generation)
         self.awaiting = {}       # dot -> event id of my red op
-
-    def is_local_ro(self, op, level):
-        return op.name == "read"
 
     def _state_repr(self):
         return (self.lc, self.shadows.text(), sorted(self.awaiting))
@@ -538,7 +535,7 @@ class RedBlueReplica(Replica):
         self.awaiting[dot] = event_id
         return Effects(casts=[(TOB, ("SHADOW",) + rec)], req_dot=dot)
 
-    def on_deliver(self, kind, msg):
+    def on_deliver(self, msg):
         _, dot, payload, lc = msg.payload
         self._apply(dot, payload, lc)
         eff = Effects()

@@ -16,7 +16,9 @@ along ar and resume from ar's fold states.  The multi-value register is no
 fold over an order, since its answer reads vis between writes; it answers
 from the carrier's masks.  Each type also declares the shapes of its
 operations' arguments, which `RdtSpec.check_history` enforces before
-anything is evaluated.
+anything is evaluated, and whether each operation reads the state, writes
+it, or both.  Nothing else says so: the simulator's local read-only rule
+(`ActSpec.local_ro`) and the exhaustive search's screen derive from it.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ from typing import Callable, NamedTuple, Optional
 from .model import (OK, SCALAR, AbstractExecution, EventId, OperationLabel,
                     Relation, ReturnValue, UnknownEvent, WEAK, STRONG, bits,
                     fits, foldr, in_order, rv_bool, rv_int, rv_set, rv_str)
+
+
+READS, WRITES = 1, 2    # its answer depends on the state; it changes the state
 
 
 class BadOperation(ValueError):
@@ -112,13 +117,13 @@ def nnc_answer(op: OperationLabel, total) -> ReturnValue:
 
 @dataclass(frozen=True)
 class RdtSpec:
-    """A data type: its operations with the shapes of their arguments, and
-    F, either as a left fold (init, step, answer) over the context's labels
-    in its order or, for a type that is no such fold, as a function of the
-    whole context."""
+    """A data type: its operations with the shapes of their arguments and
+    whether each READS or WRITES the state or both, and F, either as a left
+    fold (init, step, answer) over the context's labels in its order or,
+    for a type that is no such fold, as a function of the whole context."""
 
     name: str
-    signature: tuple  # (op name, (a `model.fits` shape per argument)), ...
+    signature: tuple  # (op name, (a `model.fits` shape per arg), READS|WRITES)
     init: object = None
     step: Optional[Callable] = None     # (state, label) -> state
     answer: Optional[Callable] = None   # (op, state) -> return value
@@ -126,7 +131,15 @@ class RdtSpec:
 
     @cached_property
     def ops(self) -> frozenset:
-        return frozenset(name for name, _ in self.signature)
+        return frozenset(name for name, _, _ in self.signature)
+
+    @cached_property
+    def reads(self) -> frozenset:
+        return frozenset(n for n, _, does in self.signature if does & READS)
+
+    @cached_property
+    def writes(self) -> frozenset:
+        return frozenset(n for n, _, does in self.signature if does & WRITES)
 
     def known(self, op: OperationLabel) -> OperationLabel:
         """op, if it is an operation of this type; raises BadOperation
@@ -147,7 +160,7 @@ class RdtSpec:
         """True if every event runs an operation of this type with arguments
         of its shapes; raises BadOperation naming the first event that does
         not."""
-        shapes = dict(self.signature)
+        shapes = {name: want for name, want, _ in self.signature}
         for e in h:
             want = shapes.get(e.op.name)
             if want is None:
@@ -163,11 +176,13 @@ class RdtSpec:
         return True
 
 
-F_SEQ = RdtSpec("f_seq", (("append", (str,)), ("read", ())),
+F_SEQ = RdtSpec("f_seq", (("append", (str,), WRITES), ("read", (), READS)),
                 init="", step=f_seq, answer=seq_answer)
-F_MVR = RdtSpec("f_mvr", (("write", (SCALAR,)), ("read", ())),
+F_MVR = RdtSpec("f_mvr", (("write", (SCALAR,), WRITES), ("read", (), READS)),
                 _eval=f_mvr)
-F_NNC = RdtSpec("f_nnc", (("add", (int,)), ("subtract", (int,)), ("get", ())),
+F_NNC = RdtSpec("f_nnc", (("add", (int,), WRITES),
+                          ("subtract", (int,), READS | WRITES),
+                          ("get", (), READS)),
                 init=0, step=f_nnc, answer=nnc_answer)
 
 RDTS = {s.name: s for s in (F_SEQ, F_MVR, F_NNC)}
@@ -180,19 +195,18 @@ class ActSpec:
     rdt: RdtSpec
     lvlmap: tuple  # tuple of (op name, frozenset of levels)
 
-    def levels(self, op_name):
-        for name, lv in self.lvlmap:
-            if name == op_name:
-                return lv
-        raise BadOperation(op_name)
+    def local_ro(self, op: OperationLabel, level: str) -> bool:
+        """True iff op at level is local read-only: weak, and not a write."""
+        return level == WEAK and op.name not in self.rdt.writes
 
     def check_history(self, h):
         """True if h runs only operations of the data type, with arguments
         of their shapes, each at a level it may run at; raises BadOperation
         naming an event otherwise."""
         self.rdt.check_history(h)
+        levels = dict(self.lvlmap)
         for e in h:
-            if e.lvl not in self.levels(e.op.name):
+            if e.lvl not in levels.get(e.op.name, ()):
                 raise BadOperation(
                     "event %d runs %s at level %s" % (e.id, e.op.name, e.lvl))
         return True

@@ -12,17 +12,17 @@ anywhere after every earlier position, and numbering first deliveries
 densely gives position + 1.
 
 Every step records the acting replica's state digest before and after it,
-and `check_act_restrictions` lints the recorded trace in one pass.  The
-world hashes a replica's state once per step: the digest before a step is
-the one recorded after that replica's previous step.  Nor is the state
-rendered or hashed afresh: each replica keeps its state's text current as
-the state changes, and keeps the sha256 state of the text that leads it,
-fed once per change of that text (see `protocols`).  So a step hashes only
-the short rest of the state, the part of the text that changes often.
-Delivered sets (one event mask per replica for RB and one for TOB), dot
-lookups and TOB positions are kept as the run goes, and the partition
-timeline is read once per partition epoch, so no step rescans the run or
-the schedule.
+and `check_act_restrictions` lints the recorded trace in one pass; an invoke
+is local read-only by its replica's `act` (`ActSpec.local_ro`).  The world
+hashes a replica's state once per step: the digest before a step is the one
+recorded after that replica's previous step.  Nor is the state rendered or
+hashed afresh: each replica keeps its state's text current as the state
+changes, and keeps the sha256 state of the text that leads it, fed once per
+change of that text (see `protocols`).  So a step hashes only the short rest
+of the state, the part of the text that changes often.  Delivered sets (one
+event mask per replica for RB and one for TOB), dot lookups and TOB
+positions are kept as the run goes, and the partition timeline is read once
+per partition epoch, so no step rescans the run or the schedule.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from math import inf
 from typing import Optional
 
 from .model import (OP, SCALAR, OperationLabel, ReturnValue, bits, conform,
@@ -113,12 +114,6 @@ class Schedule:
             if step >= from_step:
                 current = blocks
         return current
-
-    def next_partition_change(self, step):
-        for from_step, _ in self.partitions:
-            if from_step > step:
-                return from_step
-        return None
 
 
 @dataclass(slots=True)
@@ -281,7 +276,7 @@ class SimWorld:
 
     Per world, link delays and clock skews are resolved once; per partition
     epoch (the steps between two changes of the partition timeline), the
-    blocks, the majority block and the next change are.
+    blocks, the majority block and the epoch's end are.
     """
 
     def __init__(self, replicas, schedule: Schedule, workload,
@@ -343,13 +338,12 @@ class SimWorld:
     def _enter_epoch(self):
         """Read the partition timeline at now: the block each replica is in
         (None when no block holds it or no partition is in force), the
-        majority block, the next change, and the step at which any of these
-        may change next."""
+        majority block, and the step at which any of these may change next
+        (inf when none will)."""
         schedule, now = self.schedule, self.now
         blocks = schedule.blocks_at(now)
-        self._next_change = schedule.next_partition_change(now)
         self._epoch_end = min((f for f, _ in schedule.partitions if f > now),
-                              default=float("inf"))
+                              default=inf)
         n = len(self.replicas)
         if blocks is None:
             self._block_of, self._majority = [None] * n, None
@@ -417,7 +411,7 @@ class SimWorld:
     def _deliver(self, dest, msg, detail):
         """Deliver msg at dest and record the step with detail."""
         before = self._digest[dest] or self.replicas[dest].state_digest()
-        effects = self.replicas[dest].on_deliver(msg.kind, msg)
+        effects = self.replicas[dest].on_deliver(msg)
         if msg.cast_event is not None:
             if msg.kind == RB:
                 self._rbdel[dest] |= 1 << msg.cast_event
@@ -520,8 +514,10 @@ class SimWorld:
             raise UnknownReplica(rid)
         rep = self.replicas[rid]
         eid = len(self.trace.events)
+        act = rep.act       # None for a replica that names no ActSpec
         rec = EventRecord(eid, rid, inv.op, inv.level,
-                          rep.is_local_ro(inv.op, inv.level), client, self.now)
+                          act is not None and act.local_ro(inv.op, inv.level),
+                          client, self.now)
         self.trace.events[eid] = rec
         before = self._digest[rid] or rep.state_digest()
         effects = rep.on_invoke(eid, inv.op, inv.level, self.clock(rid))
@@ -576,10 +572,10 @@ class SimWorld:
     def _after_partition(self, key, dest, *action):
         """Push action at the next partition change, or else add key to
         withheld; no replica acts, so this returns False."""
-        if self._next_change is None:
+        if self._epoch_end == inf:
             self.withheld.add(key)
         else:
-            self._push(self._next_change, CLASS_DELIVER, dest, *action)
+            self._push(self._epoch_end, CLASS_DELIVER, dest, *action)
         return False
 
     def _do_internal(self, rid):

@@ -251,9 +251,6 @@ class BruteResult:
         return self.witness is not None
 
 
-ORDER_INSENSITIVE_OPS = {"append", "write", "add"}
-
-
 def _widen(base, pool):
     """base with each subset of pool's events outside it added, by size
     and then in itertools.combinations order over ascending ids."""
@@ -270,18 +267,18 @@ def brute_force_witness(history: History, target: str, level: str,
     Carriers are predecessor masks.  Each event's carrier starts from the
     edges EV (and, for Seq and Lin, SinOrd) forces.  Only the return values
     of level-l events are checked, so the search screens the carriers of
-    those whose value depends on their context (`screened`): a carrier is
-    kept iff F gives the event's return value on it.  The counter and the
-    sequence read only the context's order, so every other carrier can stay
-    at its forced edges: more edges would only add constraints.  F_MVR also
-    reads vis between writes, so each write's carrier ranges over its forced
-    edges plus every subset of the other writes, and the screen reads the
-    vis those write carriers give; for a fold type that outer range has one
-    element.  A candidate is dropped when a level-l event lies on a cycle
-    of vis, which NCC forbids; cycles among other events are kept, as the
-    checker allows them.  Intended for histories of at most six events.
-    FEC is refused: perceived arbitration is not enumerated (every par(e)
-    is ar), so an FEC answer would be BEC's.
+    those whose operation reads the state (`RdtSpec.reads`, `screened`): a
+    carrier is kept iff F gives the event's return value on it.  The counter
+    and the sequence read only the context's order, so every other carrier
+    can stay at its forced edges: more edges would only add constraints.
+    F_MVR also reads vis between writes, so each write's carrier ranges over
+    its forced edges plus every subset of the other writes, and the screen
+    reads the vis those write carriers give; for a fold type that outer
+    range has one element.  A candidate is dropped when a level-l event lies
+    on a cycle of vis, which NCC forbids; cycles among other events are
+    kept, as the checker allows them.  Intended for histories of at most six
+    events.  FEC is refused: perceived arbitration is not enumerated (every
+    par(e) is ar), so an FEC answer would be BEC's.
     """
     if target == "FEC":
         raise ValueError("brute force search does not enumerate perceived "
@@ -299,10 +296,10 @@ def brute_force_witness(history: History, target: str, level: str,
           if e in level_ids and e >= hz.stabilization_index else 0
           for e in ids}
     screened = [e for e in sorted(level_ids) if e not in pending
-                and op[e].name not in ORDER_INSENSITIVE_OPS]
+                and op[e].name in spec.reads]
     # the writes whose carriers range (F_MVR reads vis between them), when
     # some value is screened; a fold type has none
-    writes = ([e for e in ids if op[e].name == "write"]
+    writes = ([e for e in ids if op[e].name in spec.writes]
               if spec.step is None and screened else [])
     write_mask, everyone = id_mask(writes), id_mask(ids)
     excl_choices = ([id_mask(s) for n in range(len(pending) + 1)

@@ -68,10 +68,10 @@ class ChattyGetReplica(NncReplica):
             eff.casts.append((RB, ("PING", (self.rid, 0), 0)))
         return eff
 
-    def on_deliver(self, kind, msg):
+    def on_deliver(self, msg):
         if msg.payload[0] == "PING":
             return Effects()
-        return super().on_deliver(kind, msg)
+        return super().on_deliver(msg)
 
 
 class SlowAddReplica(NncReplica):
@@ -93,10 +93,10 @@ class SlowAddReplica(NncReplica):
         eff.req_dot = dot
         return eff
 
-    def on_deliver(self, kind, msg):
-        eff = super().on_deliver(kind, msg)
+    def on_deliver(self, msg):
+        eff = super().on_deliver(msg)
         tag, dot, _ = msg.payload
-        if kind == TOB and tag == "ADD" and dot in self.slow:
+        if msg.kind == TOB and tag == "ADD" and dot in self.slow:
             eff.responses.append(Response(self.slow.pop(dot), OK))
         return eff
 
@@ -104,8 +104,8 @@ class SlowAddReplica(NncReplica):
 class MuteSubtractReplica(NncReplica):
     """Breaks rule 5: a strong subtract is decided but never answered."""
 
-    def on_deliver(self, kind, msg):
-        eff = super().on_deliver(kind, msg)
+    def on_deliver(self, msg):
+        eff = super().on_deliver(msg)
         if msg.payload[0] == "SUB":
             eff.responses = []
         return eff

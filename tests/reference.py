@@ -19,6 +19,7 @@ along the trace, as they were before they took one."""
 
 import hashlib
 from bisect import bisect_right
+from math import inf
 
 from actsim.model import (OK, STRONG, AbstractExecution, Relation, bits,
                           find_cycle, foldr, rv_set, rv_str, session_order)
@@ -85,9 +86,10 @@ def build_nnc_witness(history, trace, mode="stable"):
                          if names[e] in ("add", "subtract"))
             edges.update((e, e2) for e in bits(rec.rbdel)
                          if names[e] == "add")
-            edges.update((e, e2) for e in rb.pred(e2) if names[e] == "get")
+            edges.update((e, e2) for e in bits(rb.pred_mask(e2))
+                         if names[e] == "get")
         elif name == "add":
-            edges.update((e, e2) for e in rb.pred(e2))
+            edges.update((e, e2) for e in bits(rb.pred_mask(e2)))
     if mode == "async":
         edges = {(x, y) for x, y in edges
                  if x not in pending_subs and y not in pending_subs}
@@ -176,7 +178,7 @@ def check_SinOrd(a, l):
     invisible, unordered, overlap = [], [], []
     for i, y in enumerate(a.ar):
         if y in L:
-            ar_y, vis_y = set(a.ar[:i]), a.vis.pred(y)
+            ar_y, vis_y = set(a.ar[:i]), set(bits(a.vis.pred_mask(y)))
             invisible += [(x, y) for x in ar_y - vis_y]
             unordered += [(x, y) for x in vis_y - ar_y]
             overlap += [(x, y) for x in vis_y & ar_y & pending]
@@ -202,8 +204,9 @@ def check_SessArb(a, l):
     L = set(a.history.level_events(l))
     if not L:
         return PredicateReport("SessArb", l, VACUOUS)
-    succ = session_order(a.history).inverse()   # succ.pred(x): x's successors
-    bad = [(x, y) for x in a.history.ids() for y in sorted(succ.pred(x) & L)
+    succ = session_order(a.history).inverse()   # x's successors: succ's preds
+    bad = [(x, y) for x in a.history.ids()
+           for y in sorted(set(bits(succ.pred_mask(x))) & L)
            if not ar_before(a, x, y)]
     if bad:
         return PredicateReport("SessArb", l, VIOLATED, tuple(bad))
@@ -216,7 +219,7 @@ def check_RT(a, l):
     if not L:
         return PredicateReport("RT", l, VACUOUS)
     succ = a.history.rb.induced(L).inverse()
-    bad = [(x, y) for x in sorted(L) for y in sorted(succ.pred(x))
+    bad = [(x, y) for x in sorted(L) for y in bits(succ.pred_mask(x))
            if not ar_before(a, x, y)]
     if bad:
         return PredicateReport("RT", l, VIOLATED, tuple(bad))
@@ -360,6 +363,13 @@ def same_block(schedule, now, a, b):
         if a in block:
             return b in block
     return True
+
+
+def next_partition_change(schedule, now):
+    """The earliest step after now that the timeline names, or inf."""
+    later = sorted(from_step for from_step, _ in schedule.partitions
+                   if from_step > now)
+    return later[0] if later else inf
 
 
 def majority_block(schedule, now):

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from actsim import model
 from actsim.model import (AbstractExecution, Event, History, MalformedHistory,
                           OK, OperationLabel, PENDING, Relation, ReturnValue,
-                          find_cycle, foldr, happens_before, id_mask,
+                          bits, find_cycle, foldr, happens_before,
                           on_cycle, rv_int, rv_set, rv_str,
                           session_order)
 
@@ -56,7 +56,7 @@ def test_on_cycle_matches_the_closure(rel, ids):
 
 @given(edges_st)
 def test_relation_from_pred_masks_matches_its_edges(rel):
-    r = Relation.from_pred_masks({b: id_mask(rel.pred(b)) for b in range(8)})
+    r = Relation.from_pred_masks({b: rel.pred_mask(b) for b in range(8)})
     assert len(r) == len(rel) and r.nodes() == rel.nodes()
     assert all(r.has(a, b) == rel.has(a, b)
                for a in range(8) for b in range(8))
@@ -75,8 +75,8 @@ def test_relation_union_restrict():
     r = Relation([(0, 1), (1, 2)])
     s = Relation([(2, 3)])
     assert r.union(s).edges == {(0, 1), (1, 2), (2, 3)}
-    assert r.inverse().pred(0) == frozenset({1})    # the successors of 0
-    assert r.pred(2) == frozenset({1})
+    assert bits(r.inverse().pred_mask(0)) == [1]    # the successors of 0
+    assert bits(r.pred_mask(2)) == [1]
 
 
 def test_find_cycle_survives_long_chains():

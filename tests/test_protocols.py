@@ -9,7 +9,8 @@ from actsim.model import (OK, OperationLabel, STRONG, WEAK, rv_bool, rv_int,
 from actsim.protocols import (ClassicLogReplica, MixedLogReplica, NncReplica,
                               RedBlueReplica, RenderedDict, RenderedLog, Req,
                               replay)
-from actsim.simnet import Message, RB, TOB
+from actsim.rdt import ACT_NNC, ACT_SEQ_MIXED, ACT_SEQ_REDBLUE
+from actsim.simnet import Invoke, Message, RB, Schedule, SimWorld, TOB
 
 
 def lab(name, *args):
@@ -32,8 +33,8 @@ def test_counter_add_is_applied_locally_and_broadcast():
 
 def test_counter_duplicate_adds_are_ignored():
     r = NncReplica(0)
-    r.on_deliver(RB, msg(RB, ("ADD", (1, 1), 4)))
-    r.on_deliver(TOB, msg(TOB, ("ADD", (1, 1), 4)))
+    r.on_deliver(msg(RB, ("ADD", (1, 1), 4)))
+    r.on_deliver(msg(TOB, ("ADD", (1, 1), 4)))
     assert r.value() == 4
     assert r.committed_add == 4
 
@@ -44,7 +45,7 @@ def test_counter_subtract_decisions_match_across_replicas():
     for rid in (0, 1):
         r = NncReplica(rid)
         for payload in deliveries:
-            r.on_deliver(TOB, msg(TOB, payload))
+            r.on_deliver(msg(TOB, payload))
         values.append((r.committed_add, r.committed_sub, r.value()))
     # 3 - 2 succeeds, the second subtract is unfunded everywhere
     assert values == [(3, 2, 1), (3, 2, 1)]
@@ -55,8 +56,8 @@ def test_counter_subtract_answers_at_its_own_commit():
     eff = r.on_invoke(0, lab("subtract", 1), STRONG, 0)
     assert eff.responses == [] and [k for k, _ in eff.casts] == [TOB]
     dot = eff.req_dot
-    r.on_deliver(TOB, msg(TOB, ("ADD", (1, 1), 3)))
-    done = r.on_deliver(TOB, msg(TOB, ("SUB", dot, 1)))
+    r.on_deliver(msg(TOB, ("ADD", (1, 1), 3)))
+    done = r.on_deliver(msg(TOB, ("SUB", dot, 1)))
     assert done.responses[0].event_id == 0
     assert done.responses[0].value == rv_bool(True)
 
@@ -64,7 +65,7 @@ def test_counter_subtract_answers_at_its_own_commit():
 def test_log_tentative_order_follows_timestamps():
     r = MixedLogReplica(0)
     r.on_invoke(0, lab("append", "a"), WEAK, 10)
-    r.on_deliver(RB, msg(RB, ("ISSUE", Req(4, (1, 1), lab("append", "b")))))
+    r.on_deliver(msg(RB, ("ISSUE", Req(4, (1, 1), lab("append", "b")))))
     read = r.on_invoke(1, lab("read"), WEAK, 11)
     assert read.responses[0].value == rv_str("ba")
 
@@ -73,18 +74,18 @@ def test_log_commit_moves_requests_out_of_tentative():
     r = MixedLogReplica(0)
     eff = r.on_invoke(0, lab("append", "a"), WEAK, 10)
     _, req = eff.casts[1][1][0], eff.casts[1][1][1]
-    r.on_deliver(TOB, msg(TOB, ("COMMIT", req)))
+    r.on_deliver(msg(TOB, ("COMMIT", req)))
     assert [x.dot for x in r.committed] == [req.dot]
     assert r.tentative == []
 
 
 def test_log_strong_read_answers_from_the_committed_prefix():
     r = MixedLogReplica(0)
-    r.on_deliver(TOB, msg(TOB, ("COMMIT", Req(4, (1, 1), lab("append", "b")))))
+    r.on_deliver(msg(TOB, ("COMMIT", Req(4, (1, 1), lab("append", "b")))))
     eff = r.on_invoke(0, lab("read"), STRONG, 10)
     assert eff.responses == []
     req = eff.casts[0][1][1]
-    done = r.on_deliver(TOB, msg(TOB, ("COMMIT", req)))
+    done = r.on_deliver(msg(TOB, ("COMMIT", req)))
     assert done.responses[0].value == rv_str("b")
     assert done.responses[0].trace_snapshot == ((1, 1),)
 
@@ -104,8 +105,8 @@ def test_classic_primary_commits_in_learn_order():
     p = ClassicLogReplica(0, is_primary=True)
     late = Req(9, (1, 1), lab("upd_x"))
     early = Req(1, (2, 1), lab("upd_y"))
-    p.on_deliver(RB, msg(RB, ("ISSUE", late)))
-    p.on_deliver(RB, msg(RB, ("ISSUE", early)))
+    p.on_deliver(msg(RB, ("ISSUE", late)))
+    p.on_deliver(msg(RB, ("ISSUE", early)))
     order = []
     while p.has_internal():
         eff = p.on_internal()
@@ -116,14 +117,25 @@ def test_classic_primary_commits_in_learn_order():
 
 
 def test_classic_flags_nothing_as_local_readonly():
-    p = ClassicLogReplica(0)
-    assert not p.is_local_ro(lab("read_z"), WEAK)
+    # it names no ActSpec, so the world records none of its invokes as
+    # local read-only, read_z included
+    assert ClassicLogReplica.act is None
+    world = SimWorld([ClassicLogReplica(0, is_primary=True)], Schedule(),
+                     [Invoke(1, "c", 0, lab("read_z"), WEAK)])
+    world.run_to_quiescence()
+    assert world.trace.events[0].local_ro is False
+
+
+def test_each_replica_names_the_act_spec_it_implements():
+    assert NncReplica.act is ACT_NNC
+    assert MixedLogReplica.act is ACT_SEQ_MIXED
+    assert RedBlueReplica.act is ACT_SEQ_REDBLUE
 
 
 def test_redblue_read_sorts_by_clock_then_payload():
     r = RedBlueReplica(0)
     r.on_invoke(0, lab("append", "b"), WEAK, 0)
-    r.on_deliver(RB, msg(RB, ("SHADOW", (1, 1), "a", 0)))
+    r.on_deliver(msg(RB, ("SHADOW", (1, 1), "a", 0)))
     read = r.on_invoke(1, lab("read"), WEAK, 1)
     assert read.responses[0].value == rv_str("ab")
     assert r.lc == 2  # bumped once per applied shadow
@@ -131,8 +143,8 @@ def test_redblue_read_sorts_by_clock_then_payload():
 
 def test_redblue_duplicate_shadows_are_idempotent():
     r = RedBlueReplica(0)
-    r.on_deliver(RB, msg(RB, ("SHADOW", (1, 1), "a", 0)))
-    r.on_deliver(RB, msg(RB, ("SHADOW", (1, 1), "a", 0)))
+    r.on_deliver(msg(RB, ("SHADOW", (1, 1), "a", 0)))
+    r.on_deliver(msg(RB, ("SHADOW", (1, 1), "a", 0)))
     assert r.lc == 1
     assert len(r.shadows) == 1
 
@@ -141,7 +153,7 @@ def test_redblue_red_append_answers_at_commit():
     r = RedBlueReplica(0)
     eff = r.on_invoke(0, lab("append", "x"), STRONG, 0)
     assert eff.responses == [] and eff.casts[0][0] == TOB
-    done = r.on_deliver(TOB, msg(TOB, eff.casts[0][1]))
+    done = r.on_deliver(msg(TOB, eff.casts[0][1]))
     assert done.responses[0].event_id == 0
 
 

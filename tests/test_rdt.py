@@ -10,7 +10,8 @@ from actsim.model import (AbstractExecution, Event, OK, OperationLabel,
                           Relation, STRONG, WEAK, foldr, id_mask, in_order,
                           rv_bool, rv_int, rv_set, rv_str)
 from actsim.predicates import check_FRVal, check_RVal
-from actsim.rdt import (ACT_NNC, BadOperation, F_MVR, F_NNC, F_SEQ,
+from actsim.rdt import (ACT_NNC, ACT_SEQ_MIXED, ACT_SEQ_REDBLUE, RDTS, READS,
+                        WRITES, ActSpec, BadOperation, F_MVR, F_NNC, F_SEQ,
                         MissingPar, OperationContext, context_of, f_nnc,
                         fcontext_of)
 from actsim.model import History
@@ -122,6 +123,29 @@ def test_ops_lists_each_types_operations():
     assert "get" not in F_SEQ.ops
 
 
+def test_every_operation_declares_whether_it_reads_or_writes():
+    for spec in RDTS.values():
+        for name, _, does in spec.signature:
+            assert does in (READS, WRITES, READS | WRITES), (spec.name, name)
+        assert spec.reads | spec.writes == spec.ops
+    specs = RDTS.values()
+    assert set().union(*(s.reads - s.writes for s in specs)) == {"get", "read"}
+    assert set().union(*(s.writes - s.reads for s in specs)) == {
+        "add", "append", "write"}
+    assert set().union(*(s.reads & s.writes for s in specs)) == {"subtract"}
+
+
+def test_local_ro_is_weak_and_writes_nothing():
+    for act in (ACT_NNC, ACT_SEQ_MIXED, ACT_SEQ_REDBLUE):
+        for name, levels in act.lvlmap:
+            for level in levels:
+                assert act.local_ro(lab(name), level) == (
+                    level == WEAK and name in ("get", "read")), (name, level)
+    # only the data type's declaration counts, not the levels allowed
+    assert ACT_NNC.local_ro(lab("get"), STRONG) is False
+    assert ACT_NNC.local_ro(lab("add", 1), WEAK) is False
+
+
 def test_register_answers_match_the_materialised_contexts():
     """F_MVR from masks against the materialised eval_fmvr of
     tests/reference.py, on random register executions (vis random and
@@ -158,6 +182,10 @@ def test_act_spec_enforces_operation_levels():
     bad = History([Event(0, lab("get"), rv_int(0), "strong", "a", 0, 1)])
     with pytest.raises(BadOperation):
         ACT_NNC.check_history(bad)
+    # an operation the spec gives no level runs at none
+    no_gets = ActSpec(F_NNC, (("add", frozenset({WEAK})),))
+    with pytest.raises(BadOperation, match="event 0 runs get at level weak"):
+        no_gets.check_history(good)
     # the data type's argument shapes are enforced too
     for args in (("x",), (), (1, 2), (True,)):
         mistyped = History([Event(0, lab("add", *args), OK, "weak", "a", 0,

@@ -273,6 +273,24 @@ def test_each_mutant_breaks_exactly_its_rule():
     assert seen == list(RULES)
 
 
+def test_a_replica_cannot_claim_its_reads_away():
+    """Whether an invoke is local read-only comes from the data type, so a
+    replica whose get marks its state, and which says that its get is no
+    read, is still held to rule 1."""
+
+    class DisclaimingReplica(mutants.VisibleGetReplica):
+        def is_local_ro(self, op, level):
+            return False
+
+    world = mutants.run_world(
+        [DisclaimingReplica(0), NncReplica(1)],
+        [Invoke(1, "c0", 0, lab("add", 2), WEAK),
+         Invoke(6, "c1", 0, lab("get"), WEAK)],
+        rb_delay=2, tob_delay=3)
+    assert world.trace.events[1].local_ro
+    assert verdicts(world.trace)["invisible_reads"] == "violated"
+
+
 # -- the per-step state digest ---------------------------------------------
 
 def recording(cls):
@@ -288,9 +306,9 @@ def recording(cls):
             self.entry_digests.append(self.state_digest())
             return super().on_invoke(*args)
 
-        def on_deliver(self, *args):
+        def on_deliver(self, msg):
             self.entry_digests.append(self.state_digest())
-            return super().on_deliver(*args)
+            return super().on_deliver(msg)
 
         def on_internal(self):
             self.entry_digests.append(self.state_digest())
@@ -311,9 +329,9 @@ def checking(cls, check):
             check(self)
             return eff
 
-        def on_deliver(self, *args):
+        def on_deliver(self, msg):
             check(self)
-            eff = super().on_deliver(*args)
+            eff = super().on_deliver(msg)
             check(self)
             return eff
 
@@ -407,8 +425,8 @@ def rehashing(cls):
         def on_invoke(self, *args):
             return self._handle(super().on_invoke, *args)
 
-        def on_deliver(self, *args):
-            return self._handle(super().on_deliver, *args)
+        def on_deliver(self, msg):
+            return self._handle(super().on_deliver, msg)
 
         def on_internal(self):
             return self._handle(super().on_internal)
@@ -462,8 +480,8 @@ def answer_checking(cls, checked):
                 checked.append(level)
             return eff
 
-        def on_deliver(self, kind, msg):
-            eff = super().on_deliver(kind, msg)
+        def on_deliver(self, msg):
+            eff = super().on_deliver(msg)
             for resp in eff.responses:
                 # a strong op answers from the committed prefix before it
                 req = msg.payload[1]
@@ -625,8 +643,8 @@ def test_partition_reads_follow_the_timeline_at_every_step():
         while world.step():
             now = world.now
             assert world._majority == reference.majority_block(schedule, now)
-            assert world._next_change == \
-                schedule.next_partition_change(now)
+            assert world._epoch_end == \
+                reference.next_partition_change(schedule, now)
             for a in range(n):
                 block = world._block_of[a]
                 for b in range(n):

@@ -31,7 +31,8 @@ def test_counter_witness_excludes_the_pending_subtract():
     art = run_scenario("annc-async")
     a = art.witnesses["counter"]
     pending = art.extras["pending"][0]
-    assert not a.vis.inverse().pred(pending) and not a.vis.pred(pending)
+    assert not a.vis.inverse().pred_mask(pending)
+    assert not a.vis.pred_mask(pending)
 
 
 def test_log_witness_perceived_order_starts_with_the_snapshot():
