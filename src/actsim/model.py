@@ -8,8 +8,9 @@ per-id predecessor bitmasks (Python ints); total orders are id sequences.
 from __future__ import annotations
 
 import json
+import weakref
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property, reduce
 from itertools import accumulate, compress, count
 from operator import ne, or_
@@ -60,10 +61,54 @@ def conform(value, shape, what):
     return value
 
 
-@dataclass(frozen=True)
 class OperationLabel:
-    name: str
-    args: tuple = ()
+    """An operation's name and arguments, e.g. add(5).
+
+    A data type's alphabet is small and its labels repeat, so each distinct
+    label is one live object: `__new__` hands back the live label with the
+    same name, arguments and repr of the arguments, and a label no one
+    refers to is released.  The repr is part of the key because equality
+    is not enough: add(True) == add(1) == add(1.0) and write(0.0) ==
+    write(-0.0), yet each prints and serialises as its own arguments do.
+    Labels compare and hash on (name, args) and cannot be changed.
+    """
+
+    __slots__ = ("name", "args", "__weakref__")
+    _live = weakref.WeakValueDictionary()   # key -> the live label
+    _refs = _live.data      # its weak references: a hit reads them directly
+
+    def __new__(cls, name, args=()):
+        key = (name, args, repr(args))
+        ref = cls._refs.get(key)
+        label = ref and ref()
+        if label is None:
+            label = object.__new__(cls)
+            object.__setattr__(label, "name", name)
+            object.__setattr__(label, "args", args)
+            cls._live[key] = label
+        return label
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        return type(self), (self.name, self.args)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.name, self.args) == (other.name,
+                                                           other.args)
+
+    def __hash__(self):
+        return hash((self.name, self.args))
+
+    def __repr__(self):
+        return "%s(name=%r, args=%r)" % (type(self).__qualname__, self.name,
+                                         self.args)
 
     def __str__(self):
         if not self.args:
@@ -71,7 +116,7 @@ class OperationLabel:
         return "%s(%s)" % (self.name, ",".join(str(a) for a in self.args))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReturnValue:
     """Tagged return value: Ok | Int | Bool | Str | Set | Pending.
 
@@ -357,7 +402,7 @@ def foldr(acc0, f: Callable, seq):
     return acc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     id: EventId
     op: OperationLabel
@@ -437,19 +482,19 @@ class History:
             if e.return_ts is not None and e.return_ts < e.invoke_ts:
                 raise MalformedHistory("event %d returns before invoke" % e.id)
         # clients issue operations sequentially: intervals of one session
-        # must not overlap, and a pending op must be the session's last
+        # must not overlap, and a pending op must be the session's last.  A
+        # session that passes in id order is in invoke order (each op is
+        # invoked after the one before returns), as a simulated trace lists
+        # it; only a session that fails is sorted and checked again.
         by_client = {}
         for e in self.events:
             by_client.setdefault(e.client, []).append(e)
         for client, evs in by_client.items():
-            evs.sort(key=lambda e: e.invoke_ts)
-            for x, y in zip(evs, evs[1:]):
-                if x.return_ts is None:
-                    raise MalformedHistory(
-                        "client %s issues after a pending operation" % client)
-                if x.return_ts >= y.invoke_ts:
-                    raise MalformedHistory(
-                        "client %s has overlapping operations" % client)
+            if _session_fault(evs):
+                evs.sort(key=lambda e: e.invoke_ts)
+                fault = _session_fault(evs)
+                if fault:
+                    raise MalformedHistory(fault % client)
         return True
 
     def subhistory(self, ids):
@@ -501,6 +546,17 @@ class History:
                 return_ts=rec["return_ts"],
             ))
         return History(events)
+
+
+def _session_fault(evs):
+    """The first fault of one client's events taken in list order, as a
+    message with a %s for the client, or None."""
+    for x, y in zip(evs, evs[1:]):
+        if x.return_ts is None:
+            return "client %s issues after a pending operation"
+        if x.return_ts >= y.invoke_ts:
+            return "client %s has overlapping operations"
+    return None
 
 
 HISTORY_LINE = {"id": int, "op": OP, "rval": {"tag": str}, "lvl": str,

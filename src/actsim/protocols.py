@@ -46,7 +46,7 @@ from .rdt import ACT_NNC, ACT_SEQ_MIXED, ACT_SEQ_REDBLUE
 from .simnet import Effects, FIFO_RB, RB, Response, TOB
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Req:
     """A named request record, totally ordered by (timestamp, dot)."""
 

@@ -29,10 +29,12 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from math import inf
+from operator import itemgetter
 from typing import Optional
 
 from .model import (OP, SCALAR, OperationLabel, ReturnValue, bits, conform,
@@ -61,7 +63,7 @@ class Message:
     cast_event: Optional[int]
 
 
-@dataclass
+@dataclass(slots=True)
 class Response:
     event_id: int
     value: ReturnValue
@@ -69,14 +71,14 @@ class Response:
     essential_edges: tuple = ()             # provenance (dep_dot, this_dot) pairs
 
 
-@dataclass
+@dataclass(slots=True)
 class Effects:
     casts: list = field(default_factory=list)      # (kind, payload)
     responses: list = field(default_factory=list)  # Response
     req_dot: Optional[tuple] = None                # dot minted for this invoke
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Invoke:
     at_step: int
     client: str
@@ -84,8 +86,12 @@ class Invoke:
     op: OperationLabel
     level: str
 
+    def __post_init__(self):
+        # one string per client name, however many invokes spell it afresh
+        object.__setattr__(self, "client", sys.intern(self.client))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Schedule:
     seed: int = 0
     rb_delay: int = 2
@@ -95,6 +101,13 @@ class Schedule:
     clock_skew: tuple = ()         # ((replica, offset), ...)
     tob_cutoff: Optional[int] = None
     partitions: tuple = ()         # ((from_step, (block, block, ...)), ...)
+
+    def __post_init__(self):
+        # the readers take the timeline in step order; entries at one step
+        # keep their order, so the last of them is in force
+        if self.partitions:
+            object.__setattr__(self, "partitions", tuple(
+                sorted(self.partitions, key=itemgetter(0))))
 
     def link_delay(self, origin, dest):
         for o, d, delay in self.rb_delays:

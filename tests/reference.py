@@ -355,8 +355,19 @@ def state_digest(replica):
 
 # -- the simulator's partition reads, scanning the timeline --------------
 
-def same_block(schedule, now, a, b):
-    blocks = schedule.blocks_at(now)
+def blocks_at(timeline, now):
+    """The blocks of the last entry of the timeline, taken in step order
+    (entries at one step in list order), whose step has come by now; None
+    before the first."""
+    current = None
+    for from_step, blocks in sorted(timeline, key=lambda entry: entry[0]):
+        if now >= from_step:
+            current = blocks
+    return current
+
+
+def same_block(timeline, now, a, b):
+    blocks = blocks_at(timeline, now)
     if blocks is None:
         return True
     for block in blocks:
@@ -365,15 +376,14 @@ def same_block(schedule, now, a, b):
     return True
 
 
-def next_partition_change(schedule, now):
+def next_partition_change(timeline, now):
     """The earliest step after now that the timeline names, or inf."""
-    later = sorted(from_step for from_step, _ in schedule.partitions
-                   if from_step > now)
+    later = sorted(from_step for from_step, _ in timeline if from_step > now)
     return later[0] if later else inf
 
 
-def majority_block(schedule, now):
-    blocks = schedule.blocks_at(now)
+def majority_block(timeline, now):
+    blocks = blocks_at(timeline, now)
     if blocks is None:
         return None
     return set(max(blocks, key=lambda b: (len(b), -min(b))))

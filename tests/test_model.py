@@ -1,6 +1,11 @@
 """Tests for the event-graph primitives."""
 
 import builtins
+import copy
+import dataclasses
+import gc
+import pickle
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -156,6 +161,8 @@ def test_validate_requires_pending_rval_iff_no_return():
 
 
 def test_jsonl_round_trip():
+    """Byte for byte, and onto the same shared labels, also where equal
+    arguments print apart."""
     h = History([
         Event(0, OperationLabel("add", (5,)), OK, "weak", "a", 0, 1),
         Event(1, OperationLabel("get"), rv_int(5), "weak", "b", 2, 3),
@@ -163,9 +170,81 @@ def test_jsonl_round_trip():
         Event(3, OperationLabel("read"), rv_set({"x", "y"}), "weak", "d", 6, 7),
         Event(4, OperationLabel("subtract", (2,)), PENDING, "strong", "e",
               8, None),
+        Event(5, OperationLabel("add", (True,)), OK, "weak", "a", 2, 3),
+        Event(6, OperationLabel("add", (1,)), OK, "weak", "b", 4, 5),
+        Event(7, OperationLabel("write", (0.0,)), OK, "weak", "c", 6, 7),
+        Event(8, OperationLabel("write", (-0.0,)), OK, "weak", "d", 8, 9),
     ])
-    h2 = History.from_jsonl(h.to_jsonl())
+    text = h.to_jsonl()
+    h2 = History.from_jsonl(text)
     assert [e for e in h2] == [e for e in h]
+    assert h2.to_jsonl() == text
+    assert all(x.op is y.op for x, y in zip(h2, h))
+
+
+def test_equal_labels_are_one_object():
+    assert OperationLabel("add", (5,)) is OperationLabel("add", (5,))
+    assert OperationLabel("get") is OperationLabel("get", ())
+    assert OperationLabel("add", (5,)) is not OperationLabel("add", (6,))
+
+
+def test_equal_labels_that_print_apart_stay_apart():
+    """add(True) == add(1) == add(1.0) and add(0.0) == add(-0.0), as the
+    tuples of their arguments are equal, but each is its own object and
+    prints and serialises as its argument does."""
+    args = (True, 1, 1.0, 0.0, -0.0)
+    labels = [OperationLabel("add", (a,)) for a in args]
+    assert len({id(x) for x in labels}) == len(args)
+    assert labels[0] == labels[1] == labels[2] and labels[3] == labels[4]
+    assert [str(x) for x in labels] == ["add(True)", "add(1)", "add(1.0)",
+                                        "add(0.0)", "add(-0.0)"]
+    text = History([Event(i, x, OK, "weak", "c%d" % i, 2 * i, 2 * i + 1)
+                    for i, x in enumerate(labels)]).to_jsonl()
+    assert [line[line.index('"args"'):line.index("]") + 1]
+            for line in text.splitlines()] == [
+        '"args": [true]', '"args": [1]', '"args": [1.0]', '"args": [0.0]',
+        '"args": [-0.0]']
+
+
+def test_label_keeps_the_record_semantics():
+    label = OperationLabel("add", (5,))
+    assert repr(label) == "OperationLabel(name='add', args=(5,))"
+    assert hash(label) == hash(("add", (5,)))
+    assert label != ("add", (5,))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        label.name = "get"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del label.args
+
+
+def test_an_unreferenced_label_is_released():
+    label = OperationLabel("unreferenced", (1,))
+    ref = weakref.ref(label)
+    del label
+    gc.collect()
+    assert ref() is None
+    assert OperationLabel("unreferenced", (1,)).args == (1,)
+
+
+def test_pickle_and_deepcopy_return_the_shared_label():
+    label = OperationLabel("append", ("x",))
+    assert pickle.loads(pickle.dumps(label)) is label
+    assert copy.deepcopy(label) is label
+    assert copy.copy(label) is label
+    flag = OperationLabel("add", (True,))
+    assert pickle.loads(pickle.dumps(flag)) is flag
+
+
+def test_validate_sorts_a_session_listed_out_of_invoke_order():
+    """A session whose ids do not follow invoke order is checked in invoke
+    order: well-formed, it passes; overlapping, it fails as before."""
+    assert make_history([("a", 4, 5), ("a", 0, 1), ("a", 2, 3)]).validate()
+    h = make_history([("b", 0, 1), ("a", 4, 6), ("a", 0, 5)])
+    with pytest.raises(MalformedHistory, match="client a has overlapping"):
+        h.validate()
+    h = History([_event(0, "a", 4, 5), _event(1, "a", 0, None)])
+    with pytest.raises(MalformedHistory, match="after a pending"):
+        h.validate()
 
 
 def test_subhistory_preserves_rb_under_the_mapping():

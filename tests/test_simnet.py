@@ -627,14 +627,16 @@ def _random_timeline(rng, n):
 
 def test_partition_reads_follow_the_timeline_at_every_step():
     """The partition epoch the world caches answers as scanning the
-    timeline would, at every step, however the timeline is ordered."""
+    timeline in step order would, at every step, however the timeline is
+    ordered."""
     rng = random.Random(3)
     checked = 0
     for seed in range(150):
         n = rng.randint(2, 4)
+        timeline = _random_timeline(rng, n)
         schedule = Schedule(seed=seed, rb_delay=rng.randint(1, 4),
                             tob_delay=rng.randint(2, 6), jitter=2,
-                            partitions=_random_timeline(rng, n))
+                            partitions=timeline)
         workload = [Invoke(1 + 3 * i, "c%d" % i, rng.randrange(n),
                            lab("add", 1) if i % 3 else lab("get"), WEAK)
                     for i in range(8)]
@@ -642,16 +644,48 @@ def test_partition_reads_follow_the_timeline_at_every_step():
                          workload, protocol="nnc")
         while world.step():
             now = world.now
-            assert world._majority == reference.majority_block(schedule, now)
+            assert schedule.blocks_at(now) == \
+                reference.blocks_at(timeline, now)
+            assert world._majority == reference.majority_block(timeline, now)
             assert world._epoch_end == \
-                reference.next_partition_change(schedule, now)
+                reference.next_partition_change(timeline, now)
             for a in range(n):
                 block = world._block_of[a]
                 for b in range(n):
                     assert (block is None or b in block) == \
-                        reference.same_block(schedule, now, a, b)
+                        reference.same_block(timeline, now, a, b)
             checked += 1
     assert checked > 1000
+
+
+def test_schedule_reads_its_timeline_in_step_order():
+    """A timeline given out of step order is read in step order; entries
+    at one step keep their order, so the last of them is in force."""
+    split, heal = ((0,), (1, 2)), ((0, 1, 2),)
+    schedule = Schedule(partitions=((30, split), (10, heal)))
+    assert schedule.partitions == ((10, heal), (30, split))
+    assert schedule.blocks_at(40) == split
+    assert schedule.blocks_at(20) == heal
+    assert schedule.blocks_at(5) is None
+    assert Schedule(partitions=((5, split), (5, heal))).blocks_at(5) == heal
+
+
+def test_value_records_keep_no_instance_dict():
+    """The records made per invoke, event, request, message and step are
+    slotted: none carries a __dict__."""
+    workload = [Invoke(1, "c0", 0, lab("add", 2), WEAK),
+                Invoke(2, "c1", 1, lab("get"), STRONG)]
+    world = run_world([NncReplica(0), NncReplica(1)], workload)
+    history = harness.history_of(world.trace)
+    records = [lab("add", 2), workload[0], history.event(0),
+               history.event(1).rval, protocols.Req(0, (0, 1), lab("get")),
+               next(iter(world.messages.values())), world.trace.steps[0],
+               world.trace.events[0]]
+    kinds = {type(r).__name__ for r in records}
+    assert kinds == {"OperationLabel", "Invoke", "Event", "ReturnValue",
+                     "Req", "Message", "StepRecord", "EventRecord"}
+    for r in records:
+        assert not hasattr(r, "__dict__"), type(r).__name__
 
 
 def _perturbed(trace, rng):
