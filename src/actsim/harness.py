@@ -148,9 +148,7 @@ def _search(art, predicate, level, rdt):
 
 def _primary_commit_witness(history, world):
     """The causal witness, arbitrated in the primary's commit order."""
-    event_of = {r.req_dot: e for e, r in world.trace.events.items()}
-    commit = [event_of[d] for d in world.replicas[2].committed_dots()
-              if d in event_of]
+    commit = [r.event for r in world.replicas[2].committed]
     return "causal", build_causal_witness(history, world.trace, commit)
 
 

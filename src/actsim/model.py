@@ -136,9 +136,16 @@ class ReturnValue:
 
     @staticmethod
     def from_json(d):
-        if d["tag"] == "set":
-            return rv_set(conform(d["value"], [SCALAR], "set value"))
-        return ReturnValue(d["tag"], d["value"])
+        tag = d["tag"]
+        if tag not in RVAL_SHAPES:
+            raise MalformedHistory("unknown return value tag %r" % (tag,))
+        value = conform(d["value"], RVAL_SHAPES[tag], "%s return value" % tag)
+        return rv_set(value) if tag == "set" else ReturnValue(tag, value)
+
+
+# the JSON shape of a return value's value, by its tag
+RVAL_SHAPES = {"ok": None, "pending": None, "int": int, "bool": bool,
+               "str": str, "set": [SCALAR]}
 
 
 OK = ReturnValue("ok")
@@ -640,20 +647,20 @@ class AbstractExecution:
             par[str(eid)] = "ar" if self.par[eid] == self.ar else list(self.par[eid])
         return {
             "ar": list(self.ar),
-            "vis": sorted(self.vis.edges),
+            "vis": [list(e) for e in sorted(self.vis.edges)],
             "par": par,
         }
 
     @staticmethod
     def from_json(history: History, d) -> "AbstractExecution":
-        conform(d, {"ar": [int], "vis": list, "par": dict}, "witness")
+        conform(d, {"ar": [int], "vis": [[int]], "par": dict}, "witness")
         ar = tuple(d["ar"])
         par = {}
         for k, v in d["par"].items():
             par[int(k)] = ar if v == "ar" else conform(v, [int], "par(%s)" % k)
         try:
             vis = Relation(tuple(e) for e in d["vis"])
-        except (TypeError, ValueError):
+        except ValueError:
             raise MalformedHistory(
                 "vis must be a list of [event id, event id] pairs") from None
         return AbstractExecution(history, vis, ar, par)

@@ -40,6 +40,7 @@ import hashlib
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cache
+from typing import Optional
 
 from .model import OK, OperationLabel, STRONG, WEAK, rv_int, rv_bool, rv_str
 from .rdt import ACT_NNC, ACT_SEQ_MIXED, ACT_SEQ_REDBLUE
@@ -48,12 +49,14 @@ from .simnet import Effects, FIFO_RB, RB, Response, TOB
 
 @dataclass(frozen=True, order=True, slots=True)
 class Req:
-    """A named request record, totally ordered by (timestamp, dot)."""
+    """A named request record, totally ordered by (timestamp, dot).  It
+    names the event that issued it, so a replica answers in event ids."""
 
     timestamp: int
     dot: tuple                              # (replica id, per-replica seqno)
     op: OperationLabel = field(compare=False)
     level: str = field(compare=False, default=WEAK)
+    event: Optional[int] = field(compare=False, default=None)
 
 
 def _digest(obj):
@@ -324,10 +327,10 @@ class MixedLogReplica(LogReplica):
     RB-issued and TOB-committed; weak reads are purely local; strong
     operations answer only once their own commit is delivered.
 
-    An answer carries the dots of the state it was computed from as its
-    snapshot.  The committed log only grows, so its dots and the text its
-    appends spell are kept as `_commit` grows them; an answer joins those
-    to the few tentative requests instead of walking the whole log.
+    An answer carries the events of the requests it was computed from as
+    its snapshot.  The committed log only grows, so its events and the text
+    its appends spell are kept as `_commit` grows them; an answer joins
+    those to the few tentative requests instead of walking the whole log.
     """
 
     act = ACT_SEQ_MIXED
@@ -335,7 +338,7 @@ class MixedLogReplica(LogReplica):
     def __init__(self, rid):
         super().__init__(rid)
         self.awaiting = {}             # dot -> event id of my strong op
-        self._committed_dots = ()      # the dots of self.committed
+        self._committed_events = ()    # the events of self.committed
         self._committed_text = ""      # what the committed appends spell
 
     def _state_repr(self):
@@ -346,12 +349,13 @@ class MixedLogReplica(LogReplica):
         n = len(self.committed)
         super()._commit(req)
         if len(self.committed) > n:
-            self._committed_dots += (req.dot,)
+            self._committed_events += (req.event,)
             self._committed_text += _appended(req)
 
     def _answer(self, op):
         """(snapshot, value) of op over the committed and tentative logs."""
-        snapshot = self._committed_dots + tuple(r.dot for r in self.tentative)
+        snapshot = self._committed_events + tuple(r.event
+                                                  for r in self.tentative)
         if op.name == "append":
             return snapshot, OK
         return snapshot, rv_str(self._committed_text
@@ -362,7 +366,7 @@ class MixedLogReplica(LogReplica):
             snapshot, value = self._answer(op)
             return Effects(responses=[
                 Response(event_id, value, trace_snapshot=snapshot)])
-        req = Req(now_clock, self.mint_dot(), op, level)
+        req = Req(now_clock, self.mint_dot(), op, level, event_id)
         if level == WEAK:
             snapshot, value = self._answer(op)
             self._insert_tentative(req)
@@ -384,7 +388,7 @@ class MixedLogReplica(LogReplica):
                      else rv_str(self._committed_text))
             eff.responses.append(Response(
                 self.awaiting.pop(req.dot), value,
-                trace_snapshot=self._committed_dots[:-1]))
+                trace_snapshot=self._committed_events[:-1]))
         return eff
 
 
@@ -464,9 +468,6 @@ class ClassicLogReplica(LogReplica):
         return (self.committed.text(), [r.dot for r in self.tentative],
                 list(self.commit_queue))
 
-    def committed_dots(self):
-        return [r.dot for r in self.committed]
-
     def _insert_tentative(self, req):
         super()._insert_tentative(req)
         if self.is_primary:
@@ -482,18 +483,21 @@ class ClassicLogReplica(LogReplica):
         return Effects(casts=[(FIFO_RB, ("COMMIT", req))])
 
     def on_invoke(self, event_id, op, level, now_clock):
-        req = Req(now_clock, self.mint_dot(), op, level)
+        req = Req(now_clock, self.mint_dot(), op, level, event_id)
         self._insert_tentative(req)
-        results = replay(self.committed + self.tentative)
-        value, edges = results[req.dot]
+        log = self.committed + self.tentative
+        value, edges = replay(log)[req.dot]
+        event_of = {r.dot: r.event for r in log}
         rv = OK if value is None else rv_int(value)
         return Effects(
             casts=[(RB, ("ISSUE", req))],
             responses=[Response(event_id, rv,
                                 trace_snapshot=tuple(
-                                    r.dot for r in self.committed + self.tentative
-                                    if r.dot != req.dot),
-                                essential_edges=tuple(sorted(edges)))],
+                                    r.event for r in log if r is not req),
+                                # sorted by dot, as the trace lists them
+                                essential_edges=tuple(
+                                    (event_of[a], event_of[b])
+                                    for a, b in sorted(edges)))],
             req_dot=req.dot)
 
 

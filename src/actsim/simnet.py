@@ -20,9 +20,10 @@ hashed afresh: each replica keeps its state's text current as the state
 changes, and keeps the sha256 state of the text that leads it, fed once per
 change of that text (see `protocols`).  So a step hashes only the short rest
 of the state, the part of the text that changes often.  Delivered sets (one
-event mask per replica for RB and one for TOB), dot lookups and TOB
-positions are kept as the run goes, and the partition timeline is read once
-per partition epoch, so no step rescans the run or the schedule.
+event mask per replica for RB and one for TOB) and the total order are kept
+as the run goes, and the partition timeline is read once per partition
+epoch, so no step rescans the run or the schedule.  Replicas answer in event
+ids, so a response is recorded as given.
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ class Message:
 class Response:
     event_id: int
     value: ReturnValue
-    trace_snapshot: Optional[tuple] = None  # request dots, in trace order
-    essential_edges: tuple = ()             # provenance (dep_dot, this_dot) pairs
+    trace_snapshot: Optional[tuple] = None  # event ids, in trace order
+    essential_edges: tuple = ()             # provenance (dep, this) event pairs
 
 
 @dataclass(slots=True)
@@ -303,14 +304,12 @@ class SimWorld:
         self._heap = []
         self._seq = 0
         self.messages = {}
-        self._tob_pos = {}             # TOB msg id -> position in the total order
         self._tob_order = []           # position -> TOB msg id
         n = len(self.replicas)
         self.tob_pointer = [0] * n
         # per replica: the mask of events whose RB / TOB message it delivered
         self._rbdel = [0] * n
         self._tobdel = [0] * n
-        self._event_of_dot = {}        # req dot -> event id
         self._digest = [None] * n      # last hash_after
         # msg ids never delivered anywhere, and (msg id, dest) pairs never
         # delivered at dest
@@ -405,12 +404,12 @@ class SimWorld:
         majority = self._majority
         if majority is not None and origin not in majority:
             return self._after_partition(mid, origin, self._sequence_tob, mid)
-        self._tob_pos[mid] = len(self._tob_order)
+        idx = len(self._tob_order)
         self._tob_order.append(mid)
         ready, jitter = self.now + self.schedule.tob_delay, self._jitter_bound
         for dest in range(len(self.replicas)):
             self._push(ready + self._randrange(jitter) if jitter else ready,
-                       CLASS_DELIVER, dest, self._do_tob, mid, dest)
+                       CLASS_DELIVER, dest, self._do_tob, idx, dest)
         return False
 
     def _flush_local(self):
@@ -455,22 +454,8 @@ class SimWorld:
             rec.return_step = self.now
             rec.rval = resp.value
             rec.rbdel, rec.tobdel = self._rbdel[rid], self._tobdel[rid]
-            event_of = self._event_of_dot
-            if resp.trace_snapshot is not None:
-                try:
-                    rec.trace_snapshot = tuple(
-                        map(event_of.__getitem__, resp.trace_snapshot))
-                except KeyError:    # a dot minted by no recorded event
-                    rec.trace_snapshot = tuple(
-                        event_of[dot] for dot in resp.trace_snapshot
-                        if dot in event_of)
-            edges = []
-            for dep_dot, this_dot in resp.essential_edges:
-                dep = event_of.get(dep_dot) if dep_dot else None
-                cur = event_of.get(this_dot) if this_dot else None
-                if dep is not None and cur is not None and dep != cur:
-                    edges.append((dep, cur))
-            rec.essential_edges = tuple(edges)
+            rec.trace_snapshot = resp.trace_snapshot
+            rec.essential_edges = resp.essential_edges
             resp_ids.append(resp.event_id)
             if rec.client in self._waiting:
                 self._waiting.discard(rec.client)
@@ -535,8 +520,6 @@ class SimWorld:
         before = self._digest[rid] or rep.state_digest()
         effects = rep.on_invoke(eid, inv.op, inv.level, self.clock(rid))
         rec.req_dot = effects.req_dot
-        if rec.req_dot is not None:
-            self._event_of_dot.setdefault(rec.req_dot, eid)
         casts, resps = self._apply_effects(rid, effects, eid)
         self._record(rid, "invoke", {"event": eid, "op": str(inv.op),
                                      "level": inv.level, "ro": rec.local_ro},
@@ -555,8 +538,8 @@ class SimWorld:
                                          self._do_deliver, mid, dest)
         return self._deliver(dest, msg, {"msg": mid, "kind": msg.kind})
 
-    def _do_tob(self, mid, dest):
-        idx = self._tob_pos[mid]
+    def _do_tob(self, idx, dest):
+        mid = self._tob_order[idx]
         pointer = self.tob_pointer[dest]
         if idx != pointer:
             withheld = self.withheld
@@ -566,13 +549,13 @@ class SimWorld:
             else:
                 # out of order: retry after the earlier deliveries land
                 heappush(self._heap, (self.now + 1, CLASS_DELIVER, dest,
-                                      self._seq, self._do_tob, (mid, dest)))
+                                      self._seq, self._do_tob, (idx, dest)))
                 self._seq += 1
             return False
         majority = self._majority
         if majority is not None and dest not in majority:
             return self._after_partition((mid, dest), dest,
-                                         self._do_tob, mid, dest)
+                                         self._do_tob, idx, dest)
         msg = self.messages[mid]
         if msg.cast_event is not None:
             # an event's number is that of its highest delivered position

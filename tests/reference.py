@@ -338,9 +338,9 @@ STATE_REPRS = {
 
 def mixed_log_answer(op, reqs):
     """(snapshot, value) a MixedLogReplica answers op with from the requests
-    reqs, committed then tentative: the dots of reqs, and OK for an append
-    or the concatenated appends of reqs for a read."""
-    snapshot = tuple(r.dot for r in reqs)
+    reqs, committed then tentative: the events that issued reqs, and OK for
+    an append or the concatenated appends of reqs for a read."""
+    snapshot = tuple(r.event for r in reqs)
     if op.name == "append":
         return snapshot, OK
     return snapshot, rv_str("".join(r.op.args[0] for r in reqs

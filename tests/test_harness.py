@@ -285,6 +285,46 @@ def test_cli_check_and_brute_reject_mistyped_history_lines(tmp_path, capsys,
         assert "malformed history line 1" in capsys.readouterr().err
 
 
+# the annc-stable history and witness with one return value retyped or one
+# vis pair naming an event by a bool: malformed input, so neither "holds"
+# nor "violated"
+MISTYPED_VALUES = {
+    "int-rval-a-float": ("history", lambda recs: recs[6]["rval"].update(
+        value=4.0)),
+    "bool-rval-an-int": ("history", lambda recs: next(
+        r for r in recs if r["op"]["name"] == "subtract")["rval"].update(
+            value=1)),
+    "rval-unknown-tag": ("history", lambda recs: recs[6]["rval"].update(
+        tag="foo")),
+    "vis-bool-id": ("witness", lambda w: w["vis"].append([True, 2])),
+}
+
+
+@pytest.mark.parametrize("case", MISTYPED_VALUES)
+def test_cli_check_rejects_mistyped_values_and_vis_ids(tmp_path, capsys,
+                                                       case):
+    out = tmp_path / "annc"
+    main(["run", "annc-stable", "--out", str(out)])
+    history, witness = out / "history.jsonl", out / "witness-counter.json"
+    which, retype = MISTYPED_VALUES[case]
+    if which == "history":
+        recs = [json.loads(line) for line in history.read_text().splitlines()]
+        retype(recs)
+        history = tmp_path / "bad.jsonl"
+        history.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    else:
+        w = json.loads(witness.read_text())
+        retype(w)
+        witness = tmp_path / "bad-witness.json"
+        witness.write_text(json.dumps(w))
+    capsys.readouterr()
+    code = main(["check", str(history), str(witness), "--predicate", "BEC",
+                 "--level", "weak", "--rdt", "f_nnc",
+                 "--stabilization-index", "7"])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 # (command, operation, its new arguments): the first event running the
 # operation in the scenario's history gets those arguments
 MISTYPED_OPERATIONS = [

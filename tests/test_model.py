@@ -14,7 +14,7 @@ from actsim import model
 from actsim.model import (AbstractExecution, Event, History, MalformedHistory,
                           OK, OperationLabel, PENDING, Relation, ReturnValue,
                           bits, find_cycle, foldr, happens_before,
-                          on_cycle, rv_int, rv_set, rv_str,
+                          on_cycle, rv_bool, rv_int, rv_set, rv_str,
                           session_order)
 
 edges_st = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
@@ -280,6 +280,23 @@ def test_execution_par_defaults_to_ar():
     h = make_history([("a", 0, 1), ("b", 2, 3)])
     a = AbstractExecution(h, Relation([(0, 1)]), [1, 0])
     assert a.par[0] == a.ar == (1, 0) and a.par[1] == a.ar
+
+
+@pytest.mark.parametrize("d", [
+    {"tag": "int", "value": 4.0}, {"tag": "int", "value": True},
+    {"tag": "bool", "value": 1}, {"tag": "str", "value": 5},
+    {"tag": "ok", "value": 0}, {"tag": "pending", "value": "x"},
+    {"tag": "set", "value": 3}, {"tag": "set", "value": [[1]]},
+    {"tag": "foo", "value": None}])
+def test_return_values_are_conformed_to_their_tag(d):
+    with pytest.raises(MalformedHistory):
+        ReturnValue.from_json(d)
+
+
+def test_return_values_round_trip_through_json():
+    for rv in (OK, PENDING, rv_int(-3), rv_bool(False), rv_str("ab"),
+               rv_set([1, "a", None])):
+        assert ReturnValue.from_json(rv.to_json()) == rv
 
 
 def test_execution_json_round_trip():

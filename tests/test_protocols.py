@@ -81,13 +81,15 @@ def test_log_commit_moves_requests_out_of_tentative():
 
 def test_log_strong_read_answers_from_the_committed_prefix():
     r = MixedLogReplica(0)
-    r.on_deliver(msg(TOB, ("COMMIT", Req(4, (1, 1), lab("append", "b")))))
+    r.on_deliver(msg(TOB, ("COMMIT",
+                           Req(4, (1, 1), lab("append", "b"), WEAK, 7))))
     eff = r.on_invoke(0, lab("read"), STRONG, 10)
     assert eff.responses == []
     req = eff.casts[0][1][1]
     done = r.on_deliver(msg(TOB, ("COMMIT", req)))
     assert done.responses[0].value == rv_str("b")
-    assert done.responses[0].trace_snapshot == ((1, 1),)
+    # the snapshot names the event that issued the committed append
+    assert done.responses[0].trace_snapshot == (7,)
 
 
 def test_register_replay_tracks_read_from_provenance():
@@ -113,7 +115,7 @@ def test_classic_primary_commits_in_learn_order():
         order.append(eff.casts[0][1][1].dot)
     # commit follows arrival, not timestamps
     assert order == [late.dot, early.dot]
-    assert p.committed_dots() == [late.dot, early.dot]
+    assert [r.dot for r in p.committed] == [late.dot, early.dot]
 
 
 def test_classic_flags_nothing_as_local_readonly():

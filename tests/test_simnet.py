@@ -511,6 +511,44 @@ def test_log_answers_equal_those_read_off_the_whole_log(monkeypatch):
     assert checked.count(WEAK) > 500 and checked.count(STRONG) > 100
 
 
+def held_requests(world):
+    """Every request a replica of world holds in its logs or a message of
+    world carries."""
+    for rep in world.replicas:
+        if isinstance(rep, protocols.LogReplica):
+            yield from rep.committed
+            yield from rep.tentative
+    for msg in world.messages.values():
+        yield from (x for x in msg.payload if isinstance(x, protocols.Req))
+
+
+def test_every_request_names_the_event_that_minted_its_dot():
+    """The world records a replica's snapshot and edges as it gives them,
+    so each request must name the event whose invoke minted its dot: over
+    every scenario in both modes and over random worlds of all four
+    replica classes."""
+    worlds = [harness.run_scenario(name, mode=mode).world
+              for name in harness.SCENARIOS for mode in ("stable", "async")]
+    for seed in range(120):
+        world, probe = runs.random_world(seed)
+        world.run_to_quiescence()
+        harness.inject_probes(world, probe, WEAK)
+        worlds.append(world)
+    classes, checked = set(), {}
+    for world in filter(None, worlds):     # the fixture scenario runs none
+        minted = {rec.req_dot: eid for eid, rec in world.trace.events.items()
+                  if rec.req_dot is not None}
+        name = type(world.replicas[0]).__name__
+        classes.add(name)
+        for req in held_requests(world):
+            assert req.event == minted[req.dot], (name, req)
+            checked[name] = checked.get(name, 0) + 1
+    assert classes == {"NncReplica", "MixedLogReplica", "ClassicLogReplica",
+                       "RedBlueReplica"}
+    assert set(checked) == {"MixedLogReplica", "ClassicLogReplica"}
+    assert min(checked.values()) > 100
+
+
 class DigestCountingReplica(NncReplica):
     calls = 0
 
