@@ -38,6 +38,9 @@ def _horizon(args, history):
     idx = args.stabilization_index
     if idx is None:
         idx = len(history)
+    elif not 0 <= idx <= len(history):
+        raise MalformedHistory("stabilization index %d is outside 0..%d"
+                               % (idx, len(history)))
     return HorizonConfig(idx)
 
 

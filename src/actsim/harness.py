@@ -148,7 +148,8 @@ def _search(art, predicate, level, rdt):
 
 def _primary_commit_witness(history, world):
     """The causal witness, arbitrated in the primary's commit order."""
-    commit = [r.event for r in world.replicas[2].committed]
+    primary, = (r for r in world.replicas if r.is_primary)
+    commit = [r.event for r in primary.committed]
     return "causal", build_causal_witness(history, world.trace, commit)
 
 

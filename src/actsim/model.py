@@ -14,7 +14,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property, reduce
 from itertools import accumulate, compress, count
 from operator import ne, or_
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 WEAK = "weak"
 STRONG = "strong"
@@ -399,14 +399,6 @@ def on_cycle(rel: Relation, ids) -> bool:
                 return True
             del stack[pos:], prefix[pos + 1:]
     return False
-
-
-def foldr(acc0, f: Callable, seq):
-    """Left-to-right accumulation: foldr(a0,f,eps)=a0; foldr(a0,f,w.b)=f(foldr(a0,f,w),b)."""
-    acc = acc0
-    for x in seq:
-        acc = f(acc, x)
-    return acc
 
 
 @dataclass(frozen=True, slots=True)

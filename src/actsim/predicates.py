@@ -20,12 +20,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
 from operator import or_
 from typing import Optional
 
 from .model import (AbstractExecution, Relation, bits, common_prefix,
-                    find_cycle, foldr, happens_before, id_mask, in_order,
+                    find_cycle, happens_before, id_mask, in_order,
                     on_cycle, session_order)
 from .rdt import RdtSpec, context_of, fcontext_of
 
@@ -155,7 +156,7 @@ def _prefix_fold(ar, op, spec):
         while len(states) <= k:
             states.append(step(states[-1], op[ar[len(states) - 1]]))
         rest = in_order(order, mask & ~prefix[k], k)
-        return foldr(states[k], step, map(op.__getitem__, rest))
+        return reduce(step, map(op.__getitem__, rest), states[k])
     return fold
 
 

@@ -21,9 +21,10 @@ kept current as the state changes instead of being rendered afresh each
 step.  The parts of a state that grow with the run live in two containers.
 A `RenderedDict` renders each `(key, value)` pair when the key is set and
 keeps the pairs in key order; a `RenderedLog` renders each request's dot
-when the request is appended.  Their `text()` joins those fragments into
-exactly what `repr` gives for the sorted items or the list of dots, and
-returns the same `StateText` object until the next change.
+when the request is inserted and drops it with the request, so both logs
+of a log replica change in place.  Their `text()` joins those fragments
+into exactly what `repr` gives for the sorted items or the list of dots,
+and returns the same `StateText` object until the next change.
 
 A state is a tuple, and the counter's and the logs' states lead with such a
 text.  `state_digest` keeps a sha256 state fed with the tuple's text up to
@@ -37,7 +38,8 @@ bytes of `repr(state)`, as rendering and hashing the whole state would.
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_left
+from bisect import bisect_left, insort
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cache
 from typing import Optional
@@ -133,20 +135,29 @@ class RenderedDict(dict):
 
 
 class RenderedLog(list):
-    """An append-only list of requests whose `text()` is
-    `repr([r.dot for r in self])`: each dot is rendered once, on append.
-    Every other mutator raises."""
+    """A list of requests whose `text()` is `repr([r.dot for r in self])`:
+    each dot is rendered once, on insert, and dropped with its request.  It
+    changes only by `insert` (which `append` and `bisect.insort` call) and
+    `del`; every other mutator raises."""
 
     __slots__ = ("_fragments", "_text")
 
     def __init__(self):
         super().__init__()
         self._fragments = []
-        self._text = None         # the joined text, until the next append
+        self._text = None         # the joined text, until the next change
+
+    def insert(self, i, req):
+        self._fragments.insert(i, _render(req.dot))
+        super().insert(i, req)
+        self._text = None
 
     def append(self, req):
-        self._fragments.append(_render(req.dot))
-        super().append(req)
+        self.insert(len(self), req)
+
+    def __delitem__(self, i):
+        del self._fragments[i]
+        super().__delitem__(i)
         self._text = None
 
     def text(self):
@@ -154,8 +165,8 @@ class RenderedLog(list):
             self._text = _list_text(self._fragments)
         return self._text
 
-    extend = insert = pop = remove = clear = sort = reverse = _refuse
-    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
+    extend = pop = remove = clear = sort = reverse = _refuse
+    __setitem__ = __iadd__ = __imul__ = _refuse
 
 
 class Replica:
@@ -275,35 +286,38 @@ class NncReplica(Replica):
 
 
 class LogReplica(Replica):
-    """A tentative log, kept sorted, and a committed log in commit order.
+    """A sorted tentative log and a committed log, both changed in place.
 
     A request enters each log at most once, and leaves the tentative log
     only when it is committed, so the two logs never share a dot and
-    `known` holds the dots of both.
+    `known` holds the dots of both.  Each request names one event, so no
+    answer built from the two logs repeats an event.
     """
 
     def __init__(self, rid):
         super().__init__(rid)
         self.committed = RenderedLog()   # Req, in commit order
-        self.tentative = []              # Req, kept sorted
+        self.tentative = RenderedLog()   # Req, kept sorted
         self.known = set()               # dots in either log
 
     def _converged_repr(self):
-        return (self.committed.text(), [r.dot for r in self.tentative])
+        return (self.committed.text(), self.tentative.text())
 
     def _insert_tentative(self, req):
-        self.tentative.append(req)
-        self.tentative.sort()
+        insort(self.tentative, req)
         self.known.add(req.dot)
 
     def _commit(self, req):
-        """Move req from the tentative log to the end of the committed log;
-        a known dot that is not tentative is committed already."""
-        tentative = [r for r in self.tentative if r.dot != req.dot]
-        if req.dot not in self.known or len(tentative) < len(self.tentative):
-            self.committed.append(req)
-            self.known.add(req.dot)
-        self.tentative = tentative
+        """Move req from the tentative log to the end of the committed log
+        and say whether it moved; a known dot not tentative is committed."""
+        i = bisect_left(self.tentative, req)
+        if i < len(self.tentative) and self.tentative[i].dot == req.dot:
+            del self.tentative[i]
+        elif req.dot in self.known:
+            return False
+        self.committed.append(req)
+        self.known.add(req.dot)
+        return True
 
     def on_deliver(self, msg):
         tag, req = msg.payload
@@ -338,24 +352,23 @@ class MixedLogReplica(LogReplica):
     def __init__(self, rid):
         super().__init__(rid)
         self.awaiting = {}             # dot -> event id of my strong op
-        self._committed_events = ()    # the events of self.committed
+        self._committed_events = []    # the events of self.committed
         self._committed_text = ""      # what the committed appends spell
 
     def _state_repr(self):
-        return (self.committed.text(), [r.dot for r in self.tentative],
+        return (self.committed.text(), self.tentative.text(),
                 sorted(self.awaiting))
 
     def _commit(self, req):
-        n = len(self.committed)
-        super()._commit(req)
-        if len(self.committed) > n:
-            self._committed_events += (req.event,)
+        if moved := super()._commit(req):
+            self._committed_events.append(req.event)
             self._committed_text += _appended(req)
+        return moved
 
     def _answer(self, op):
         """(snapshot, value) of op over the committed and tentative logs."""
-        snapshot = self._committed_events + tuple(r.event
-                                                  for r in self.tentative)
+        snapshot = (*self._committed_events,
+                    *(r.event for r in self.tentative))
         if op.name == "append":
             return snapshot, OK
         return snapshot, rv_str(self._committed_text
@@ -388,7 +401,7 @@ class MixedLogReplica(LogReplica):
                      else rv_str(self._committed_text))
             eff.responses.append(Response(
                 self.awaiting.pop(req.dot), value,
-                trace_snapshot=self._committed_events[:-1]))
+                trace_snapshot=tuple(self._committed_events[:-1])))
         return eff
 
 
@@ -462,23 +475,22 @@ class ClassicLogReplica(LogReplica):
     def __init__(self, rid, is_primary=False):
         super().__init__(rid)
         self.is_primary = is_primary
-        self.commit_queue = []    # dots in learn order, primary only
+        self.commit_queue = deque()   # Req, in learn order, primary only
 
     def _state_repr(self):
-        return (self.committed.text(), [r.dot for r in self.tentative],
-                list(self.commit_queue))
+        return (self.committed.text(), self.tentative.text(),
+                [r.dot for r in self.commit_queue])
 
     def _insert_tentative(self, req):
         super()._insert_tentative(req)
         if self.is_primary:
-            self.commit_queue.append(req.dot)
+            self.commit_queue.append(req)
 
     def has_internal(self):
         return self.is_primary and bool(self.commit_queue)
 
     def on_internal(self):
-        dot = self.commit_queue.pop(0)
-        req = next(r for r in self.tentative if r.dot == dot)
+        req = self.commit_queue.popleft()
         self._commit(req)
         return Effects(casts=[(FIFO_RB, ("COMMIT", req))])
 

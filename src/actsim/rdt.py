@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .model import (OK, SCALAR, AbstractExecution, EventId, OperationLabel,
                     Relation, ReturnValue, UnknownEvent, WEAK, STRONG, bits,
-                    fits, foldr, in_order, rv_bool, rv_int, rv_set, rv_str)
+                    fits, in_order, rv_bool, rv_int, rv_set, rv_str)
 
 
 READS, WRITES = 1, 2    # its answer depends on the state; it changes the state
@@ -119,8 +119,9 @@ def nnc_answer(op: OperationLabel, total) -> ReturnValue:
 class RdtSpec:
     """A data type: its operations with the shapes of their arguments and
     whether each READS or WRITES the state or both, and F, either as a left
-    fold (init, step, answer) over the context's labels in its order or,
-    for a type that is no such fold, as a function of the whole context."""
+    fold (init, step, answer) over the context's labels in its order (the
+    paper's foldr, here `functools.reduce`) or, for a type that is no such
+    fold, as a function of the whole context."""
 
     name: str
     signature: tuple  # (op name, (a `model.fits` shape per arg), READS|WRITES)
@@ -154,7 +155,7 @@ class RdtSpec:
         if self.step is None:
             return self._eval(self.known(op), c)
         labels = map(c.op.__getitem__, in_order(c.order, c.mask))
-        return self.answer(self.known(op), foldr(self.init, self.step, labels))
+        return self.answer(self.known(op), reduce(self.step, labels, self.init))
 
     def check_history(self, h):
         """True if every event runs an operation of this type with arguments

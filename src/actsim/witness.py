@@ -18,17 +18,18 @@ running prefix masks along an order, never as a set of pairs.
 In the tentative log a weak event's perceived order par(e) is the snapshot
 its replica answered from (the committed prefix of ar, then a few tentative
 requests), then the other shared events in ar's order, with the locals
-slotted in again.  So each snapshot is split once, into its longest common
-prefix with ar's shared events (c events long, found at C speed) and a
+slotted in again.  A log replica holds each request once, in one of its
+two logs, and each request names one event, so a snapshot never repeats an
+event.  So each snapshot is split once, into its longest common prefix
+with ar's shared events (c events long, found at C speed) and the rest, its
 tail.  Its vis bits are the prefix mask of those c events ORed with the
 tail's bits, and par(e) is the ar tuple itself when the tail is empty.
 Otherwise only a window of ar moves: from the shared event at index c up
 to the last one the tail pulls forward, with the locals ar places inside
-it.  Outside the
-window the shared order is ar's, so a local whose anchor lies outside
-keeps it; one whose anchor lies inside finds its new anchor inside, since
-the window only permutes its shared events.  That window alone is laid out
-again.
+it.  Outside the window the shared order is ar's, so a local whose anchor
+lies outside keeps it; one whose anchor lies inside finds its new anchor
+inside, since the window only permutes its shared events.  That window
+alone is laid out again.
 """
 
 from __future__ import annotations
@@ -143,19 +144,6 @@ def build_nnc_witness(history: History, trace: ProtocolTrace,
     return AbstractExecution(history, Relation.from_pred_masks(preds), ar)
 
 
-def _split_snapshot(snapshot, shared, position):
-    """(c, tail) such that snapshot without its repeats is shared[:c] + tail,
-    with c as large as can be.  shared lists each event of snapshot once, and
-    position maps each of those events to its index in shared."""
-    c = common_prefix(snapshot, shared)
-    if c == len(snapshot):
-        return c, []
-    # a repeat in snapshot[c:] repeats an event of the prefix or of the tail
-    tail = [x for x in dict.fromkeys(snapshot[c:]) if position[x] >= c]
-    k = common_prefix(tail, shared[c:c + len(tail)])
-    return c + k, tail[k:]
-
-
 def build_log_witness(history: History, trace: ProtocolTrace,
                       mode="stable") -> AbstractExecution:
     """Tentative-log witness: arbitration is the commit order; weak events
@@ -197,8 +185,9 @@ def build_log_witness(history: History, trace: ProtocolTrace,
     # from base[c] up to the last event the tail pulls forward differs.
     preds, par = {}, {}
     for e2 in ids:
-        c, tail = _split_snapshot(recs[e2].trace_snapshot or (), base,
-                                  position)
+        snapshot = recs[e2].trace_snapshot or ()
+        c = common_prefix(snapshot, base)
+        tail = list(snapshot[c:])
         preds[e2] = (prefix[c] | id_mask(tail)) & ~(1 << e2)
         if not tail or e2 in strong:
             par[e2] = ar

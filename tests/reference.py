@@ -19,10 +19,11 @@ along the trace, as they were before they took one."""
 
 import hashlib
 from bisect import bisect_right
+from functools import reduce
 from math import inf
 
 from actsim.model import (OK, STRONG, AbstractExecution, Relation, bits,
-                          find_cycle, foldr, rv_set, rv_str, session_order)
+                          find_cycle, rv_set, rv_str, session_order)
 from actsim.predicates import (HOLDS, VACUOUS, VIOLATED, PredicateReport,
                                _path_nodes, _tail_events, report)
 from actsim.protocols import (ClassicLogReplica, MixedLogReplica, NncReplica,
@@ -251,7 +252,7 @@ def evaluate(spec, op, order, labels, vis):
     """F(op) on a materialised context: a fold type folds labels."""
     if spec.step is None:
         return eval_fmvr(spec.known(op), order, labels, vis)
-    return spec.answer(spec.known(op), foldr(spec.init, spec.step, labels))
+    return spec.answer(spec.known(op), reduce(spec.step, labels, spec.init))
 
 
 def _check_values(name, a, l, spec, order_of):
@@ -312,7 +313,7 @@ def mixed_log_state(r):
 
 def classic_log_state(r):
     return ([x.dot for x in r.committed], [x.dot for x in r.tentative],
-            list(r.commit_queue))
+            [x.dot for x in r.commit_queue])
 
 
 def log_converged(r):

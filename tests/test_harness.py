@@ -325,6 +325,35 @@ def test_cli_check_rejects_mistyped_values_and_vis_ids(tmp_path, capsys,
     assert "error:" in capsys.readouterr().err
 
 
+# command -> (scenario, its arguments after the history): brute takes a
+# history of at most 6 events
+HORIZON_RUNS = {
+    "check": ("annc-stable", ["witness-counter.json", "--predicate", "BEC",
+                              "--level", "weak", "--rdt", "f_nnc"]),
+    "brute": ("impossibility", ["--target", "Lin", "--level", "strong",
+                                "--rdt", "f_seq"]),
+}
+
+
+@pytest.mark.parametrize("command", HORIZON_RUNS)
+def test_cli_rejects_a_stabilization_index_outside_the_history(
+        tmp_path, capsys, command):
+    """A stabilization index is an ordinal of the history or its length
+    (no tail); -1 and one past the length exit 2."""
+    scenario, rest = HORIZON_RUNS[command]
+    main(["run", scenario, "--out", str(tmp_path)])
+    history = tmp_path / "history.jsonl"
+    n = len(history.read_text().splitlines())
+    args = [command, str(history)] + [
+        str(tmp_path / a) if a.endswith(".json") else a for a in rest]
+    for index, want in ((-1, {2}), (n + 1, {2}), (0, {0, 1}), (n, {0, 1})):
+        capsys.readouterr()
+        code = main(args + ["--stabilization-index", str(index)])
+        assert code in want, (index, code)
+        assert ("stabilization index" in capsys.readouterr().err) == (
+            want == {2})
+
+
 # (command, operation, its new arguments): the first event running the
 # operation in the scenario's history gets those arguments
 MISTYPED_OPERATIONS = [

@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 from actsim import model
 from actsim.model import (AbstractExecution, Event, History, MalformedHistory,
                           OK, OperationLabel, PENDING, Relation, ReturnValue,
-                          bits, find_cycle, foldr, happens_before,
+                          bits, find_cycle, happens_before,
                           on_cycle, rv_bool, rv_int, rv_set, rv_str,
                           session_order)
 
@@ -91,11 +91,6 @@ def test_find_cycle_survives_long_chains():
     assert find_cycle(Relation(chain + [(n, 0)])) == list(range(n + 1)) + [0]
     assert not on_cycle(Relation(chain), range(n + 1))
     assert on_cycle(Relation(chain + [(n, 0)]), [n // 2])
-
-
-def test_foldr_accumulates_left_to_right():
-    assert foldr(0, lambda a, x: a * 2 + x, [1, 0, 1]) == 5
-    assert foldr("z", lambda a, x: a + x, []) == "z"
 
 
 def _event(i, client, inv, ret, op="get", lvl="weak", rval=None):

@@ -1,12 +1,14 @@
 """Tests for the level-parametrized predicates."""
 
+from functools import reduce
+
 import pytest
 from hypothesis import given, strategies as st
 
 import reference
 
 from actsim.model import (AbstractExecution, Event, History, OK,
-                          OperationLabel, PENDING, Relation, foldr, rv_int,
+                          OperationLabel, PENDING, Relation, rv_int,
                           rv_str)
 from actsim.predicates import (HOLDS, HorizonConfig, VACUOUS, VIOLATED,
                                _prefix_fold, check_CPar, check_EV,
@@ -220,8 +222,8 @@ LABELS = {
 def test_prefix_fold_equals_foldr_over_the_materialised_context(data):
     """For a random ar, random labels and a few (order, mask) queries on one
     fold, each order sharing a random prefix with ar (or being ar itself),
-    the prefix fold's state is foldr over the mask's events in the order
-    tests/reference.py's preds_in lists them."""
+    the prefix fold's state is the paper's foldr, a left fold, over the
+    mask's events in the order tests/reference.py's preds_in lists them."""
     spec = data.draw(st.sampled_from([F_NNC, F_SEQ]))
     n = data.draw(st.integers(1, 16))
     ar = tuple(data.draw(st.permutations(range(n))))
@@ -236,5 +238,5 @@ def test_prefix_fold_equals_foldr_over_the_materialised_context(data):
         mask = data.draw(st.integers(0, (1 << n) - 1))
         carrier = reference.preds_in(Relation.from_pred_masks({n: mask}), n,
                                      order)
-        assert fold(order, mask) == foldr(spec.init, spec.step,
-                                          [op[x] for x in carrier])
+        assert fold(order, mask) == reduce(spec.step,
+                                           [op[x] for x in carrier], spec.init)

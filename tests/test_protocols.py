@@ -1,6 +1,8 @@
 """Unit tests for the replica implementations, driven without the network,
 and for the containers that keep their state text current."""
 
+from bisect import bisect_left, insort
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -180,13 +182,27 @@ def test_rendered_dict_text_is_its_sorted_items(writes):
     assert repr((d.text(), 0)) == repr((sorted(plain.items()), 0))
 
 
-@given(st.lists(dots, unique=True, max_size=40))
-def test_rendered_log_text_is_its_list_of_dots(appended):
+@given(st.lists(dots, unique=True, max_size=40),
+       st.lists(st.one_of(st.tuples(st.integers(0, 9), dots),
+                          st.integers(0, 39)), max_size=60))
+def test_rendered_log_text_is_its_list_of_dots(appended, changes):
     log = RenderedLog()
     for i, dot in enumerate(appended):
         log.append(Req(i, dot, lab("append", "a")))
         assert log.text() == repr([r.dot for r in log])
     assert [r.dot for r in log] == appended
+    # as a tentative log changes: requests insorted in (timestamp, dot)
+    # order, and deleted anywhere
+    log, plain = RenderedLog(), []
+    for change in changes:
+        if type(change) is tuple:
+            req = Req(*change, lab("append", "a"))
+            insort(log, req)
+            insort(plain, req)
+        elif log:
+            del log[change % len(log)]
+            del plain[change % len(plain)]
+        assert log == plain and log.text() == repr([r.dot for r in log])
 
 
 def test_rendered_containers_refuse_every_other_mutator():
@@ -197,8 +213,8 @@ def test_rendered_containers_refuse_every_other_mutator():
     req = Req(1, (0, 2), lab("append", "b"))
     refused = [
         lambda: d.update({(0, 2): 2}), lambda: d.pop((0, 1)), d.popitem,
-        d.clear, lambda: log.extend([req]), lambda: log.insert(0, req),
-        log.pop, lambda: log.remove(log[0]), log.clear, log.sort, log.reverse]
+        d.clear, lambda: log.extend([req]), log.pop,
+        lambda: log.remove(log[0]), log.clear, log.sort, log.reverse]
     for mutate in refused:
         with pytest.raises(TypeError):
             mutate()
@@ -211,10 +227,76 @@ def test_rendered_containers_refuse_every_other_mutator():
     with pytest.raises(TypeError):
         log[0:1] = []
     with pytest.raises(TypeError):
-        del log[0]
-    with pytest.raises(TypeError):
         log += [req]
     with pytest.raises(TypeError):
         log *= 2
     assert d == {(0, 1): 1} and d.text() == "[((0, 1), 1)]"
     assert [r.dot for r in log] == [(0, 1)] and log.text() == "[(0, 1)]"
+
+
+# -- both logs at scale, with skewed clocks ----------------------------------
+
+def recording(cls):
+    """cls, counting the inserts that land before the tentative log's tail
+    and the commits that take a request that is not its first."""
+
+    class Recording(cls):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.inner_inserts = self.inner_commits = 0
+
+        def _insert_tentative(self, req):
+            self.inner_inserts += (bisect_left(self.tentative, req)
+                                   < len(self.tentative))
+            super()._insert_tentative(req)
+
+        def _commit(self, req):
+            i = bisect_left(self.tentative, req)
+            self.inner_commits += (0 < i < len(self.tentative)
+                                   and self.tentative[i].dot == req.dot)
+            return super()._commit(req)
+
+    return Recording
+
+
+def primary_commit_world(n):
+    cls = recording(ClassicLogReplica)
+    progs = ("upd_x", "upd_y", "read_z")
+    return SimWorld(
+        [cls(0), cls(1), cls(2, is_primary=True)],
+        Schedule(clock_skew=((0, 9), (1, -4))),
+        [Invoke(2 * i + 1, "c%d" % (i % 8), i % 3, lab(progs[i % 3]), WEAK)
+         for i in range(n)], protocol="classic-log")
+
+
+def tentative_log_world(n):
+    cls = recording(MixedLogReplica)
+    return SimWorld(
+        [cls(0), cls(1), cls(2)],
+        Schedule(rb_delay=3, tob_delay=5, clock_skew=((0, 11), (2, -6))),
+        [Invoke(i + 1, "c%d" % (i % 12), i % 3,
+                lab("read") if i % 4 == 1 else lab("append", "abcde"[i % 5]),
+                STRONG if i % 7 == 3 else WEAK)
+         for i in range(n)], protocol="log")
+
+
+# (world, invokes, its pinned trace digest)
+SCALE_WORLDS = [
+    (primary_commit_world, 300,
+     "8e4639849ea3e9484ddeae0d39567efc28d9b4ddfc347b91cf319a40f7f48acd"),
+    (tentative_log_world, 800,
+     "b9ddd7d282828581223badda42f43186ee67331b5e9fe260ae34e4bb7c46e049"),
+]
+
+
+@pytest.mark.parametrize("make,n,digest", SCALE_WORLDS,
+                         ids=["primary-commit", "tentative-log"])
+def test_logs_changed_in_place_keep_the_trace_digests_at_scale(make, n,
+                                                              digest):
+    """Skewed clocks make requests land inside the tentative log and commit
+    out of its order, at every replica, and the traces keep their pinned
+    digests."""
+    world = make(n).run_to_quiescence()
+    assert len(world.trace.events) == n
+    assert world.trace.digest() == digest
+    assert all(r.inner_inserts and r.inner_commits for r in world.replicas)

@@ -1,13 +1,14 @@
 """Tests for the data type specification functions."""
 
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, strategies as st
 
 import reference
 from actsim.model import (AbstractExecution, Event, OK, OperationLabel,
-                          Relation, STRONG, WEAK, foldr, id_mask, in_order,
+                          Relation, STRONG, WEAK, id_mask, in_order,
                           rv_bool, rv_int, rv_set, rv_str)
 from actsim.predicates import check_FRVal, check_RVal
 from actsim.rdt import (ACT_NNC, ACT_SEQ_MIXED, ACT_SEQ_REDBLUE, RDTS, READS,
@@ -55,7 +56,7 @@ def test_register_concurrent_writes_all_survive():
 
 def test_counter_fold_skips_unfunded_subtracts():
     seq = [lab("add", 3), lab("subtract", 5), lab("subtract", 2)]
-    assert foldr(0, f_nnc, seq) == 1
+    assert reduce(f_nnc, seq, 0) == 1
     c = ctx(seq)
     assert F_NNC.evaluate(lab("get"), c) == rv_int(1)
     assert F_NNC.evaluate(lab("subtract", 2), c) == rv_bool(False)
@@ -70,13 +71,13 @@ counter_ops = st.lists(
 
 @given(counter_ops)
 def test_counter_value_never_goes_negative(ops):
-    assert foldr(0, f_nnc, ops) >= 0
+    assert reduce(f_nnc, ops, 0) >= 0
 
 
 @given(counter_ops)
 def test_counter_gets_are_removable(ops):
     without = [l for l in ops if l.name != "get"]
-    assert foldr(0, f_nnc, ops) == foldr(0, f_nnc, without)
+    assert reduce(f_nnc, ops, 0) == reduce(f_nnc, without, 0)
 
 
 @given(counter_ops, st.integers(1, 100))

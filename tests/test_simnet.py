@@ -524,9 +524,10 @@ def held_requests(world):
 
 def test_every_request_names_the_event_that_minted_its_dot():
     """The world records a replica's snapshot and edges as it gives them,
-    so each request must name the event whose invoke minted its dot: over
-    every scenario in both modes and over random worlds of all four
-    replica classes."""
+    so each request must name the event whose invoke minted its dot, and no
+    snapshot may repeat an event, as the log witness relies on: over every
+    scenario in both modes and over random worlds of all four replica
+    classes."""
     worlds = [harness.run_scenario(name, mode=mode).world
               for name in harness.SCENARIOS for mode in ("stable", "async")]
     for seed in range(120):
@@ -543,6 +544,9 @@ def test_every_request_names_the_event_that_minted_its_dot():
         for req in held_requests(world):
             assert req.event == minted[req.dot], (name, req)
             checked[name] = checked.get(name, 0) + 1
+        for rec in world.trace.events.values():
+            snapshot = rec.trace_snapshot or ()
+            assert len(set(snapshot)) == len(snapshot), (name, rec)
     assert classes == {"NncReplica", "MixedLogReplica", "ClassicLogReplica",
                        "RedBlueReplica"}
     assert set(checked) == {"MixedLogReplica", "ClassicLogReplica"}
