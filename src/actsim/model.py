@@ -3,6 +3,9 @@
 Everything downstream (RDT evaluation, predicates, witness construction)
 consumes the types defined here.  Relations over event ids are stored as
 per-id predecessor bitmasks (Python ints); total orders are id sequences.
+
+Each JSON record's writer, reader and malformed-input check derive from its
+one `JsonRecord`, such as `HISTORY_LINE` (a trace's are in `simnet`).
 """
 
 from __future__ import annotations
@@ -13,11 +16,12 @@ from bisect import bisect_left
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property, reduce
 from itertools import accumulate, compress, count
-from operator import ne, or_
+from operator import attrgetter, ne, or_
 from typing import Iterable, Optional
 
 WEAK = "weak"
 STRONG = "strong"
+LEVELS = frozenset((WEAK, STRONG))
 
 EventId = int
 
@@ -31,7 +35,6 @@ class UnknownEvent(KeyError):
 
 
 SCALAR = (str, int, float, bool, None)      # neither a list nor an object
-OP = {"name": str, "args": [SCALAR]}        # an operation label's JSON
 
 
 def fits(value, shape):
@@ -48,14 +51,17 @@ def fits(value, shape):
             k in value and fits(value[k], s) for k, s in shape.items())
     if isinstance(shape, tuple):
         return any(fits(value, s) for s in shape)
+    if isinstance(shape, frozenset):
+        return type(value) is str and value in shape
     return value is None if shape is None else type(value) is shape
 
 
 def conform(value, shape, what):
     """value, if it has the JSON shape; raises MalformedHistory naming what
     otherwise.  A shape is a type (matched exactly, so a bool is no int),
-    None (null), a tuple of alternative shapes, [shape] (a list of such
-    values) or {key: shape} (an object with at least those keys)."""
+    None (null), a tuple of alternative shapes, a frozenset of strings (one
+    of them), [shape] (a list of such values) or {key: shape} (an object
+    with at least those keys)."""
     if not fits(value, shape):
         raise MalformedHistory("malformed %s" % what)
     return value
@@ -181,6 +187,49 @@ def bits(mask):
 def id_mask(ids) -> int:
     """The bitmask with bit i set for each i in ids."""
     return reduce(or_, map((1).__lshift__, ids), 0)
+
+
+def event_key(k, what):
+    """The event id that k, a key of a JSON object of what, spells; raises
+    MalformedHistory unless k is a non-negative id as `str` writes it."""
+    if not (k.isdecimal() and k == str(int(k))):
+        raise MalformedHistory("malformed %s key %r" % (what, k))
+    return int(k)
+
+
+class JsonRecord:
+    """A record's JSON format: shape is the {key: shape} `conform` takes,
+    one key per attribute of the record, in the order the writer emits them,
+    and convert a (write, read) pair per key not stored as it is written (a
+    None, written null, is not converted).  read raises MalformedHistory
+    naming what unless d has the shape."""
+
+    def __init__(self, shape, **convert):
+        self.shape, self.convert = shape, convert
+        self._get = attrgetter(*shape)
+
+    def write(self, record):
+        d = dict(zip(self.shape, self._get(record)))
+        for k, (write, _) in self.convert.items():
+            d[k] = None if d[k] is None else write(d[k])
+        return d
+
+    def read(self, d, what):
+        conform(d, self.shape, what)
+        out = {k: d[k] for k in self.shape}
+        for k, (_, read) in self.convert.items():
+            out[k] = None if out[k] is None else read(out[k])
+        return out
+
+
+# the conversions of the values records do not store as they are written
+LABEL = (lambda op: {"name": op.name, "args": list(op.args)},
+         lambda d: OperationLabel(d["name"], tuple(d["args"])))
+OP = {"name": str, "args": [SCALAR]}        # the shape LABEL writes
+RVAL = (ReturnValue.to_json, ReturnValue.from_json)
+SEQUENCE = (list, tuple)
+MASK = (bits, id_mask)                      # an event mask, as its ids
+PAIRS = (lambda ps: [list(p) for p in ps], lambda ps: tuple(map(tuple, ps)))
 
 
 def in_order(order, mask, start=0):
@@ -412,6 +461,11 @@ class Event:
     return_ts: Optional[int]
 
 
+HISTORY_LINE = JsonRecord(
+    {"id": int, "op": OP, "rval": {"tag": str}, "lvl": LEVELS, "client": str,
+     "invoke_ts": int, "return_ts": (int, None)}, op=LABEL, rval=RVAL)
+
+
 class History:
     """Client-observable history H = (E, op, rval, rb, ss, lvl).
 
@@ -512,39 +566,15 @@ class History:
         return History(events), mapping
 
     def to_jsonl(self) -> str:
-        lines = []
-        for e in self.events:
-            rec = {
-                "id": e.id,
-                "op": {"name": e.op.name, "args": list(e.op.args)},
-                "rval": e.rval.to_json(),
-                "lvl": e.lvl,
-                "client": e.client,
-                "invoke_ts": e.invoke_ts,
-                "return_ts": e.return_ts,
-            }
-            lines.append(json.dumps(rec, sort_keys=True))
-        return "\n".join(lines) + "\n"
+        return "\n".join(json.dumps(HISTORY_LINE.write(e), sort_keys=True)
+                         for e in self.events) + "\n"
 
     @staticmethod
     def from_jsonl(text: str) -> "History":
-        events = []
-        for n, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            if not line:
-                continue
-            rec = conform(json.loads(line), HISTORY_LINE,
-                          "history line %d" % n)
-            events.append(Event(
-                id=rec["id"],
-                op=OperationLabel(rec["op"]["name"], tuple(rec["op"]["args"])),
-                rval=ReturnValue.from_json(rec["rval"]),
-                lvl=rec["lvl"],
-                client=rec["client"],
-                invoke_ts=rec["invoke_ts"],
-                return_ts=rec["return_ts"],
-            ))
-        return History(events)
+        return History([
+            Event(**HISTORY_LINE.read(json.loads(line), "history line %d" % n))
+            for n, line in enumerate(map(str.strip, text.splitlines()), 1)
+            if line])
 
 
 def _session_fault(evs):
@@ -556,10 +586,6 @@ def _session_fault(evs):
         if x.return_ts >= y.invoke_ts:
             return "client %s has overlapping operations"
     return None
-
-
-HISTORY_LINE = {"id": int, "op": OP, "rval": {"tag": str}, "lvl": str,
-                "client": str, "invoke_ts": int, "return_ts": (int, None)}
 
 
 def session_order(h: History) -> Relation:
@@ -649,7 +675,8 @@ class AbstractExecution:
         ar = tuple(d["ar"])
         par = {}
         for k, v in d["par"].items():
-            par[int(k)] = ar if v == "ar" else conform(v, [int], "par(%s)" % k)
+            par[event_key(k, "witness par")] = (
+                ar if v == "ar" else conform(v, [int], "par(%s)" % k))
         try:
             vis = Relation(tuple(e) for e in d["vis"])
         except ValueError:

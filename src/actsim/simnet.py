@@ -24,6 +24,9 @@ event mask per replica for RB and one for TOB) and the total order are kept
 as the run goes, and the partition timeline is read once per partition
 epoch, so no step rescans the run or the schedule.  Replicas answer in event
 ids, so a response is recorded as given.
+
+A trace's JSON holds its protocol, its events keyed by id and its steps, in
+the formats `TRACE_EVENT` and `TRACE_STEP` declare (see `model.JsonRecord`).
 """
 
 from __future__ import annotations
@@ -38,8 +41,9 @@ from math import inf
 from operator import itemgetter
 from typing import Optional
 
-from .model import (OP, SCALAR, OperationLabel, ReturnValue, bits, conform,
-                    id_mask)
+from .model import (LABEL, LEVELS, MASK, OP, PAIRS, RVAL, SCALAR, SEQUENCE,
+                    JsonRecord, OperationLabel, ReturnValue, conform,
+                    event_key)
 from .predicates import PredicateReport, report
 
 RB = "RB"
@@ -143,6 +147,14 @@ class StepRecord:
     passive_after: bool = True
 
 
+TRACE_STEP = JsonRecord({
+    "step": int, "replica": (int, None),
+    "kind": frozenset(("invoke", "deliver", "internal")), "detail": dict,
+    "hash_before": str, "hash_after": str, "casts": [[SCALAR]],
+    "responses": [int], "passive_after": bool},
+    casts=PAIRS, responses=SEQUENCE)
+
+
 @dataclass(slots=True)
 class EventRecord:
     event_id: int
@@ -166,6 +178,16 @@ class EventRecord:
         return self.return_step is None
 
 
+TRACE_EVENT = JsonRecord({
+    "replica": int, "op": OP, "level": LEVELS, "local_ro": bool,
+    "client": str, "invoke_step": int, "req_dot": ([int], None),
+    "return_step": (int, None), "rval": ({"tag": str}, None),
+    "tobno": (int, None), "rbdel": [int], "tobdel": [int],
+    "trace_snapshot": ([int], None), "essential_edges": [[int]]},
+    op=LABEL, req_dot=SEQUENCE, rval=RVAL, rbdel=MASK,
+    tobdel=MASK, trace_snapshot=SEQUENCE, essential_edges=PAIRS)
+
+
 @dataclass
 class ProtocolTrace:
     """Per-event and per-step metadata captured during a simulation."""
@@ -175,69 +197,24 @@ class ProtocolTrace:
     steps: list = field(default_factory=list)    # StepRecord
 
     def to_json(self):
-        events = {}
-        for eid, r in sorted(self.events.items()):
-            events[str(eid)] = {
-                "replica": r.replica,
-                "op": {"name": r.op.name, "args": list(r.op.args)},
-                "level": r.level,
-                "local_ro": r.local_ro,
-                "client": r.client,
-                "invoke_step": r.invoke_step,
-                "req_dot": list(r.req_dot) if r.req_dot else None,
-                "return_step": r.return_step,
-                "rval": r.rval.to_json() if r.rval is not None else None,
-                "tobno": r.tobno,
-                "rbdel": bits(r.rbdel),
-                "tobdel": bits(r.tobdel),
-                "trace_snapshot": (list(r.trace_snapshot)
-                                   if r.trace_snapshot is not None else None),
-                "essential_edges": [list(e) for e in r.essential_edges],
-            }
-        steps = [{
-            "step": s.step, "replica": s.replica, "kind": s.kind,
-            "detail": s.detail, "hash_before": s.hash_before,
-            "hash_after": s.hash_after, "casts": [list(c) for c in s.casts],
-            "responses": list(s.responses), "passive_after": s.passive_after,
-        } for s in self.steps]
-        return {"protocol": self.protocol, "events": events, "steps": steps}
+        return {"protocol": self.protocol,
+                "events": {str(eid): TRACE_EVENT.write(r)
+                           for eid, r in sorted(self.events.items())},
+                "steps": list(map(TRACE_STEP.write, self.steps))}
 
     @staticmethod
     def from_json(d):
         conform(d, {"protocol": str, "events": dict, "steps": list}, "trace")
         trace = ProtocolTrace(protocol=d["protocol"])
         for k, r in d["events"].items():
-            conform(r, TRACE_EVENT, "trace event %s" % k)
-            trace.events[int(k)] = EventRecord(
-                event_id=int(k),
-                replica=r["replica"],
-                op=OperationLabel(r["op"]["name"], tuple(r["op"]["args"])),
-                level=r["level"],
-                local_ro=r["local_ro"],
-                client=r["client"],
-                invoke_step=r["invoke_step"],
-                req_dot=tuple(r["req_dot"]) if r["req_dot"] else None,
-                return_step=r["return_step"],
-                rval=(ReturnValue.from_json(r["rval"])
-                      if r["rval"] is not None else None),
-                tobno=r["tobno"],
-                rbdel=id_mask(r["rbdel"]),
-                tobdel=id_mask(r["tobdel"]),
-                trace_snapshot=(tuple(r["trace_snapshot"])
-                                if r["trace_snapshot"] is not None else None),
-                essential_edges=tuple(tuple(e) for e in r["essential_edges"]),
-            )
+            eid = event_key(k, "trace event")
+            trace.events[eid] = EventRecord(
+                eid, **TRACE_EVENT.read(r, "trace event %s" % k))
         for i, s in enumerate(d["steps"]):
-            conform(s, TRACE_STEP, "trace step %d" % i)
-            conform(list(s["detail"].values()), [SCALAR],
+            step = StepRecord(**TRACE_STEP.read(s, "trace step %d" % i))
+            conform(list(step.detail.values()), [SCALAR],
                     "detail of trace step %d" % i)
-            trace.steps.append(StepRecord(
-                step=s["step"], replica=s["replica"], kind=s["kind"],
-                detail=s["detail"], hash_before=s["hash_before"],
-                hash_after=s["hash_after"],
-                casts=tuple(tuple(c) for c in s["casts"]),
-                responses=tuple(s["responses"]),
-                passive_after=s["passive_after"]))
+            trace.steps.append(step)
         return trace
 
     def digest(self):
@@ -247,18 +224,6 @@ class ProtocolTrace:
                            rec.hash_before, rec.hash_after, rec.casts,
                            rec.responses)).encode())
         return h.hexdigest()
-
-
-TRACE_EVENT = {
-    "replica": int, "op": OP, "level": str, "local_ro": bool, "client": str,
-    "invoke_step": int, "req_dot": ([int], None), "return_step": (int, None),
-    "rval": ({"tag": str}, None), "tobno": (int, None), "rbdel": [int],
-    "tobdel": [int], "trace_snapshot": ([int], None),
-    "essential_edges": [[int]]}
-TRACE_STEP = {
-    "step": int, "replica": (int, None), "kind": str, "detail": dict,
-    "hash_before": str, "hash_after": str, "casts": [[SCALAR]],
-    "responses": [int], "passive_after": bool}
 
 
 # scheduler priority classes: a replica drains internal work before new
@@ -311,8 +276,8 @@ class SimWorld:
         self._rbdel = [0] * n
         self._tobdel = [0] * n
         self._digest = [None] * n      # last hash_after
-        # msg ids never delivered anywhere, and (msg id, dest) pairs never
-        # delivered at dest
+        # (msg id, dest) for a message never delivered at dest, and
+        # (msg id, None) for a TOB message never sequenced
         self.withheld = set()
         self._delay = [[schedule.link_delay(o, d) for d in range(n)]
                        for o in range(n)]
@@ -377,7 +342,7 @@ class SimWorld:
         if kind == TOB:
             cutoff = self.schedule.tob_cutoff
             if self.mode == "async" and cutoff is not None and self.now > cutoff:
-                self.withheld.add(mid)
+                self.withheld.add((mid, None))
                 return msg
             self._sequence_tob(mid)
         else:
@@ -403,7 +368,8 @@ class SimWorld:
         origin = self.messages[mid].origin
         majority = self._majority
         if majority is not None and origin not in majority:
-            return self._after_partition(mid, origin, self._sequence_tob, mid)
+            return self._after_partition((mid, None), origin,
+                                         self._sequence_tob, mid)
         idx = len(self._tob_order)
         self._tob_order.append(mid)
         ready, jitter = self.now + self.schedule.tob_delay, self._jitter_bound

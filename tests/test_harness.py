@@ -148,6 +148,22 @@ def test_cli_check_round_trips_a_saved_run(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_check_prints_the_parts_a_composite_violates(tmp_path, capsys):
+    """annc-async withholds a subtract's total-order message, so Lin(strong)
+    is violated, and check names the parts that fail."""
+    out = tmp_path / "art"
+    main(["run", "annc-async", "--out", str(out)])
+    idx = str(run_scenario("annc-async").horizon.stabilization_index)
+    capsys.readouterr()
+    code = main(["check", str(out / "history.jsonl"),
+                 str(out / "witness-counter.json"),
+                 "--predicate", "Lin", "--level", "strong", "--rdt", "f_nnc",
+                 "--stabilization-index", idx])
+    assert code == 1
+    assert "counterexample: ('SinOrd', 'BEC')" in (
+        capsys.readouterr().out.splitlines())
+
+
 def test_cli_check_rejects_unknown_predicates(tmp_path, capsys):
     out = tmp_path / "art"
     main(["run", "annc-stable", "--out", str(out)])
@@ -237,6 +253,10 @@ MALFORMED_WITNESSES = {
     "ar-string-id": lambda w: w["ar"].__setitem__(1, "x"),
     "ar-null": lambda w: w.update(ar=None),
     "par-not-an-order": lambda w: w.update(par={"0": 5}),
+    # a key that names an event but is not its id as str writes it: "01"
+    # and "1_5" would read as events 1 and 15, the later key silently winning
+    "par-key-not-canonical": lambda w: w["par"].update({"01": w["ar"][::-1]}),
+    "par-key-with-an-underscore": lambda w: w["par"].update({"1_5": "ar"}),
     "root-a-list": lambda w: [w],
 }
 
@@ -260,6 +280,7 @@ MISTYPED_HISTORY_LINES = {
     "id-string": lambda rec: rec.update(id="0"),
     "args-not-a-list": lambda rec: rec.update(op={"name": "add", "args": 5}),
     "line-a-list": lambda rec: [1, 2],
+    "lvl-neither-weak-nor-strong": lambda rec: rec.update(lvl="medium"),
 }
 
 
@@ -285,18 +306,27 @@ def test_cli_check_and_brute_reject_mistyped_history_lines(tmp_path, capsys,
         assert "malformed history line 1" in capsys.readouterr().err
 
 
-# the annc-stable history and witness with one return value retyped or one
-# vis pair naming an event by a bool: malformed input, so neither "holds"
-# nor "violated"
+# the annc-stable history and witness with one return value retyped, one
+# vis pair naming an event by a bool, two events sharing an id, an event
+# returning before its invoke or an operation the counter lacks: malformed
+# input, so neither "holds" nor "violated"; each case with the error it
+# prints
 MISTYPED_VALUES = {
     "int-rval-a-float": ("history", lambda recs: recs[6]["rval"].update(
-        value=4.0)),
+        value=4.0), "malformed int return value"),
     "bool-rval-an-int": ("history", lambda recs: next(
         r for r in recs if r["op"]["name"] == "subtract")["rval"].update(
-            value=1)),
+            value=1), "malformed bool return value"),
     "rval-unknown-tag": ("history", lambda recs: recs[6]["rval"].update(
-        tag="foo")),
-    "vis-bool-id": ("witness", lambda w: w["vis"].append([True, 2])),
+        tag="foo"), "unknown return value tag"),
+    "vis-bool-id": ("witness", lambda w: w["vis"].append([True, 2]),
+                    "malformed witness"),
+    "duplicate-id": ("history", lambda recs: recs[1].update(id=0),
+                     "duplicate event ids"),
+    "returns-before-invoke": ("history", lambda recs: recs[6].update(
+        return_ts=recs[6]["invoke_ts"] - 1), "event 6 returns before invoke"),
+    "operation-the-type-lacks": ("history", lambda recs: recs[0]["op"].update(
+        name="mul"), "event 0 runs mul, which is not an operation of f_nnc"),
 }
 
 
@@ -306,7 +336,7 @@ def test_cli_check_rejects_mistyped_values_and_vis_ids(tmp_path, capsys,
     out = tmp_path / "annc"
     main(["run", "annc-stable", "--out", str(out)])
     history, witness = out / "history.jsonl", out / "witness-counter.json"
-    which, retype = MISTYPED_VALUES[case]
+    which, retype, error = MISTYPED_VALUES[case]
     if which == "history":
         recs = [json.loads(line) for line in history.read_text().splitlines()]
         retype(recs)
@@ -322,7 +352,7 @@ def test_cli_check_rejects_mistyped_values_and_vis_ids(tmp_path, capsys,
                  "--level", "weak", "--rdt", "f_nnc",
                  "--stabilization-index", "7"])
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    assert "error: " + error in capsys.readouterr().err
 
 
 # command -> (scenario, its arguments after the history): brute takes a
@@ -399,6 +429,8 @@ def test_cli_check_and_brute_reject_mistyped_operations(tmp_path, capsys,
 @pytest.mark.parametrize("where, field, value", [
     ("steps", "casts", 5),
     ("events", "rbdel", None),
+    ("events", "level", "medium"),
+    ("steps", "kind", "invoke!"),
 ])
 def test_cli_lint_rejects_mistyped_traces(tmp_path, capsys, where, field,
                                           value):
@@ -412,6 +444,22 @@ def test_cli_lint_rejects_mistyped_traces(tmp_path, capsys, where, field,
     capsys.readouterr()
     assert main(["lint", str(bad)]) == 2
     assert "malformed trace" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["01", "1_5", " 3"])
+def test_cli_lint_rejects_event_keys_that_are_not_canonical(tmp_path, capsys,
+                                                           key):
+    """A key that reads as an event id but is not that id as str writes it
+    names a second copy of the event; whichever comes later would win."""
+    out = tmp_path / "art"
+    main(["run", "annc-stable", "--out", str(out)])
+    trace = json.loads((out / "trace.json").read_text())
+    trace["events"][key] = trace["events"][str(int(key))]
+    bad = tmp_path / "bad-trace.json"
+    bad.write_text(json.dumps(trace))
+    capsys.readouterr()
+    assert main(["lint", str(bad)]) == 2
+    assert "malformed trace event key" in capsys.readouterr().err
 
 
 # -- pinned scenario outputs -------------------------------------------------

@@ -109,7 +109,7 @@ def test_cutoff_withholds_the_late_total_order_message():
     art = run_scenario("annc-async")
     world = art.world
     pending = art.extras["pending"][0]
-    withheld_msgs = {m for m in world.withheld if isinstance(m, int)}
+    withheld_msgs = {m for m, dest in world.withheld if dest is None}
     assert any(world.messages[m].cast_event == pending for m in withheld_msgs)
     for rec in art.trace.steps:
         if rec.kind == "deliver":
