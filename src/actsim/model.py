@@ -227,6 +227,7 @@ LABEL = (lambda op: {"name": op.name, "args": list(op.args)},
          lambda d: OperationLabel(d["name"], tuple(d["args"])))
 OP = {"name": str, "args": [SCALAR]}        # the shape LABEL writes
 RVAL = (ReturnValue.to_json, ReturnValue.from_json)
+RV = {"tag": str, "value": (SCALAR, [SCALAR])}   # the shape RVAL writes
 SEQUENCE = (list, tuple)
 MASK = (bits, id_mask)                      # an event mask, as its ids
 PAIRS = (lambda ps: [list(p) for p in ps], lambda ps: tuple(map(tuple, ps)))
@@ -462,7 +463,7 @@ class Event:
 
 
 HISTORY_LINE = JsonRecord(
-    {"id": int, "op": OP, "rval": {"tag": str}, "lvl": LEVELS, "client": str,
+    {"id": int, "op": OP, "rval": RV, "lvl": LEVELS, "client": str,
      "invoke_ts": int, "return_ts": (int, None)}, op=LABEL, rval=RVAL)
 
 

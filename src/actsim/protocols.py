@@ -20,19 +20,23 @@ The world hashes a replica's state after every step, so the state's text is
 kept current as the state changes instead of being rendered afresh each
 step.  The parts of a state that grow with the run live in two containers.
 A `RenderedDict` renders each `(key, value)` pair when the key is set and
-keeps the pairs in key order; a `RenderedLog` renders each request's dot
-when the request is inserted and drops it with the request, so both logs
-of a log replica change in place.  Their `text()` joins those fragments
-into exactly what `repr` gives for the sorted items or the list of dots,
-and returns the same `StateText` object until the next change.
+keeps the pairs in key order, one run per origin replica; a `RenderedLog`
+renders each request's dot when the request is inserted and drops it with
+the request, so both logs of a log replica change in place.  Their `text()`
+joins those fragments into exactly what `repr` gives for the sorted items or
+the list of dots.
 
 A state is a tuple, and the counter's and the logs' states lead with such a
-text.  `state_digest` keeps a sha256 state fed with the tuple's text up to
-the end of that leading text, and feeds it again only when the text object
-changes; each step copies it and hashes only the rest of the tuple, a few
-numbers and short lists, formatted in one step.  A state that does not lead
-with its text is hashed whole.  Either way the digest hashes exactly the
-bytes of `repr(state)`, as rendering and hashing the whole state would.
+container: `_state_parts` names it and the rest of the tuple.  The
+container keeps the sha256 state of "(" and its text as the text changes,
+so a change costs what it changes: the committed log extends a running
+hash by each dot it appends, and the counter's known adds extend the
+checkpoint of a dot's origin run and feed the later runs again.  Each step
+copies that state and hashes only the rest of the tuple, a few numbers and
+short lists, formatted in one step; no step joins or hashes the whole
+leading text.  A state led by no container is hashed whole.  Either way
+the digest hashes exactly the bytes of `repr(state)`, as rendering and
+hashing the whole state would.
 """
 
 from __future__ import annotations
@@ -66,10 +70,10 @@ def _digest(obj):
 
 
 @cache
-def _rest_format(arity):
-    """The %-format of a tuple's repr after its first item, for a tuple of
-    arity items."""
-    return ",)" if arity == 1 else ", %r" * (arity - 1) + ")"
+def _tail_format(n):
+    """The %-format of what follows the first item in the repr of a tuple
+    of n more items."""
+    return ", %r" * n + ")" if n else ",)"
 
 
 _render = repr    # every fragment of a state's text is rendered through here
@@ -85,7 +89,8 @@ class StateText(str):
 
 
 def _list_text(fragments):
-    return StateText("[" + ", ".join(fragments) + "]")
+    """The text of a list whose items render as fragments (UTF-8 bytes)."""
+    return StateText("[" + b", ".join(fragments).decode() + "]")
 
 
 def _refuse(self, *args, **kwargs):
@@ -94,63 +99,130 @@ def _refuse(self, *args, **kwargs):
 
 
 class RenderedDict(dict):
-    """A dict whose `text()` is `repr(sorted(self.items()))`.
+    """A dict of dots whose `text()` is `repr(sorted(self.items()))`.
 
-    Keys are kept sorted beside the dict, each with its rendered
-    `(key, value)` pair, so setting a key renders that pair alone.  The dict
-    changes only by item assignment and `setdefault`; every other mutator
-    raises, so the text cannot fall behind the contents.
+    A key is a dot, and its first item, the replica that minted it, names
+    its run: the keys of one origin, which sort together.  Each run keeps
+    its keys in order, each with its rendered `(key, value)` pair, and those
+    pairs joined, so setting a key renders that pair alone.  The dict
+    changes only by item assignment; every other mutator raises, so the
+    text cannot fall behind the contents.
+
+    `head_hash()` is the sha256 state of `"(" + text()`, as a state tuple
+    led by the dict begins.  From the first call on, the dict keeps a
+    checkpoint per run: the sha256 state of `"(["` and the text up to that
+    run's end.  A key set past the end of its run extends that run's
+    checkpoint by its pair; any other change joins its run again and feeds
+    it from the checkpoint before.  Either way the later runs are fed again
+    from their joined texts, so only the changed run is joined.
     """
 
-    __slots__ = ("_keys", "_fragments", "_text")
+    __slots__ = ("_origins", "_keys", "_fragments", "_texts", "_marks",
+                 "_text", "_head")
 
     def __init__(self):
         super().__init__()
-        self._keys = []
-        self._fragments = []
-        self._text = None         # the joined text, until the next change
+        self._origins = []        # the origin of each run, ascending
+        self._keys = []           # per run, its keys in order
+        self._fragments = []      # per run, its rendered pairs in key order
+        self._texts = []          # per run, its pairs joined by ", "
+        self._marks = None        # per run, its checkpoint, once asked for
+        self._text = self._head = None    # until the next change
 
     def __setitem__(self, key, value):
-        fragment = _render((key, value))
-        i = bisect_left(self._keys, key)
-        if key in self:
-            self._fragments[i] = fragment
+        fragment = _render((key, value)).encode()
+        origins, marks = self._origins, self._marks
+        j = bisect_left(origins, key[0])
+        if j == len(origins) or origins[j] != key[0]:
+            origins.insert(j, key[0])
+            self._keys.insert(j, [key])
+            self._fragments.insert(j, [fragment])
+            self._texts.insert(j, fragment)
+        elif key > self._keys[j][-1]:
+            self._keys[j].append(key)
+            self._fragments[j].append(fragment)
+            fragment = b", " + fragment
+            self._texts[j] += fragment
+            if marks is not None:
+                marks[j].update(fragment)
+            j += 1
         else:
-            self._keys.insert(i, key)
-            self._fragments.insert(i, fragment)
-        super().__setitem__(key, value)
-        self._text = None
+            keys, fragments = self._keys[j], self._fragments[j]
+            i = bisect_left(keys, key)
+            if key in self:
+                fragments[i] = fragment
+            else:
+                keys.insert(i, key)
+                fragments.insert(i, fragment)
+            self._texts[j] = b", ".join(fragments)
+        if marks is not None and j < len(origins):
+            self._refeed(j)
+        dict.__setitem__(self, key, value)
+        self._text = self._head = None
 
-    def setdefault(self, key, default=None):
-        if key not in self:
-            self[key] = default
-        return self[key]
+    def _refeed(self, j):
+        """Feed the checkpoints of run j and of every later run again."""
+        marks = self._marks
+        del marks[j:]
+        for text in self._texts[j:]:
+            if marks:
+                mark = marks[-1].copy()
+                mark.update(b", ")
+            else:
+                mark = hashlib.sha256(b"([")
+            mark.update(text)
+            marks.append(mark)
 
     def text(self):
         if self._text is None:
-            self._text = _list_text(self._fragments)
+            self._text = _list_text(self._texts)
         return self._text
 
-    update = pop = popitem = clear = __delitem__ = __ior__ = _refuse
+    def head_hash(self):
+        if self._head is None:
+            if self._marks is None:
+                self._marks = []
+                self._refeed(0)
+            marks = self._marks
+            head = marks[-1].copy() if marks else hashlib.sha256(b"([")
+            head.update(b"]")
+            self._head = head
+        return self._head
+
+    update = setdefault = pop = popitem = clear = _refuse
+    __delitem__ = __ior__ = _refuse
 
 
 class RenderedLog(list):
     """A list of requests whose `text()` is `repr([r.dot for r in self])`:
     each dot is rendered once, on insert, and dropped with its request.  It
     changes only by `insert` (which `append` and `bisect.insort` call) and
-    `del`; every other mutator raises."""
+    `del`; every other mutator raises.
 
-    __slots__ = ("_fragments", "_text")
+    `head_hash()` is the sha256 state of `"(" + text()`.  From the first
+    call on, the log keeps a running sha256 of `"(["` and its dots joined by
+    `", "`, which an append extends by one dot; an insert elsewhere or a
+    `del` drops it, and the next call feeds it afresh.
+    """
+
+    __slots__ = ("_fragments", "_run", "_text", "_head")
 
     def __init__(self):
         super().__init__()
         self._fragments = []
-        self._text = None         # the joined text, until the next change
+        self._run = None              # the running sha256, once asked for
+        self._text = self._head = None    # until the next change
 
     def insert(self, i, req):
-        self._fragments.insert(i, _render(req.dot))
+        fragment = _render(req.dot).encode()
+        if self._run is not None:
+            if i >= len(self):
+                self._run.update(b", " + fragment if self else fragment)
+            else:
+                self._run = None
+        self._fragments.insert(i, fragment)
         super().insert(i, req)
-        self._text = None
+        self._text = self._head = None
 
     def append(self, req):
         self.insert(len(self), req)
@@ -158,12 +230,21 @@ class RenderedLog(list):
     def __delitem__(self, i):
         del self._fragments[i]
         super().__delitem__(i)
-        self._text = None
+        self._run = self._text = self._head = None
 
     def text(self):
         if self._text is None:
             self._text = _list_text(self._fragments)
         return self._text
+
+    def head_hash(self):
+        if self._head is None:
+            if self._run is None:
+                self._run = hashlib.sha256(
+                    b"([" + b", ".join(self._fragments))
+            self._head = self._run.copy()
+            self._head.update(b"]")
+        return self._head
 
     extend = pop = remove = clear = sort = reverse = _refuse
     __setitem__ = __iadd__ = __imul__ = _refuse
@@ -175,10 +256,8 @@ class Replica:
     def __init__(self, rid):
         self.rid = rid
         self._seq = 0
-        # the StateText leading the state, the sha256 state fed with "("
-        # and that text, and the last rest hashed after it, with the digest
-        self._head = self._head_hash = None
-        self._rest = self._rest_digest = None
+        # the head hash and the text of the rest last hashed, and the digest
+        self._head = self._tail = self._tail_digest = None
 
     def mint_dot(self):
         self._seq += 1
@@ -194,28 +273,30 @@ class Replica:
         return Effects()
 
     def state_digest(self):
-        state = self._state_repr()
-        if type(state) is not tuple or not state \
-                or type(state[0]) is not StateText:
-            return _digest(state)
-        text = state[0]
-        rest = (_rest_format(len(state)) % state[1:]).encode()
-        if text is not self._head:
-            self._head = text
-            self._head_hash = hashlib.sha256(("(" + text).encode())
-        elif rest == self._rest:
-            return self._rest_digest
-        hashed = self._head_hash.copy()
-        hashed.update(rest)
-        self._rest = rest
-        self._rest_digest = digest = hashed.hexdigest()[:16]
+        lead, rest = self._state_parts()
+        if lead is None:
+            return _digest(rest)
+        head = lead.head_hash()
+        tail = (_tail_format(len(rest)) % rest).encode()
+        if head is self._head and tail == self._tail:
+            return self._tail_digest
+        hashed = head.copy()
+        hashed.update(tail)
+        self._head, self._tail = head, tail
+        self._tail_digest = digest = hashed.hexdigest()[:16]
         return digest
 
     def convergence_digest(self):
         return _digest(self._converged_repr())
 
-    def _state_repr(self):
+    def _state_parts(self):
+        """(lead, rest): the container leading the state, or None, and the
+        tuple of the state's other items."""
         raise NotImplementedError
+
+    def _state_repr(self):
+        lead, rest = self._state_parts()
+        return rest if lead is None else (lead.text(), *rest)
 
     def _converged_repr(self):
         return self._state_repr()
@@ -238,17 +319,31 @@ class NncReplica(Replica):
         self.committed_add = 0
         self.committed_sub = 0
         self.awaiting = {}       # dot -> event id of my undecided subtract
+        self._total = 0          # the known adds' sum, while all are ints
 
-    def _state_repr(self):
-        return (self.known_adds.text(), self.committed_add,
-                self.committed_sub, sorted(self.awaiting))
+    def _state_parts(self):
+        return self.known_adds, (self.committed_add, self.committed_sub,
+                                 sorted(self.awaiting))
 
     def _converged_repr(self):
         return (self.known_adds.text(), self.committed_add,
                 self.committed_sub)
 
+    def _learn(self, dot, amount):
+        """Know the add dot of amount, unless it is known already."""
+        if dot not in self.known_adds:
+            self.known_adds[dot] = amount
+            if self._total is not None:
+                self._total = (self._total + amount
+                               if isinstance(amount, int) else None)
+
     def value(self):
-        return sum(self.known_adds.values()) - self.committed_sub
+        total = self._total
+        if total is None:
+            # sum() rounds a sum of floats its own way (compensated from
+            # Python 3.12 on), so a float amount is summed by it
+            total = sum(self.known_adds.values())
+        return total - self.committed_sub
 
     def on_invoke(self, event_id, op, level, now_clock):
         if op.name == "get":
@@ -256,7 +351,7 @@ class NncReplica(Replica):
         dot = self.mint_dot()
         if op.name == "add":
             amount = op.args[0]
-            self.known_adds[dot] = amount
+            self._learn(dot, amount)
             return Effects(
                 casts=[(RB, ("ADD", dot, amount)),
                        (TOB, ("ADD", dot, amount))],
@@ -271,7 +366,7 @@ class NncReplica(Replica):
     def on_deliver(self, msg):
         tag, dot, amount = msg.payload
         if tag == "ADD":
-            self.known_adds.setdefault(dot, amount)
+            self._learn(dot, amount)
             if msg.kind == TOB:
                 self.committed_add += amount
             return Effects()
@@ -355,9 +450,8 @@ class MixedLogReplica(LogReplica):
         self._committed_events = []    # the events of self.committed
         self._committed_text = ""      # what the committed appends spell
 
-    def _state_repr(self):
-        return (self.committed.text(), self.tentative.text(),
-                sorted(self.awaiting))
+    def _state_parts(self):
+        return self.committed, (self.tentative.text(), sorted(self.awaiting))
 
     def _commit(self, req):
         if moved := super()._commit(req):
@@ -477,9 +571,9 @@ class ClassicLogReplica(LogReplica):
         self.is_primary = is_primary
         self.commit_queue = deque()   # Req, in learn order, primary only
 
-    def _state_repr(self):
-        return (self.committed.text(), self.tentative.text(),
-                [r.dot for r in self.commit_queue])
+    def _state_parts(self):
+        return self.committed, (self.tentative.text(),
+                                [r.dot for r in self.commit_queue])
 
     def _insert_tentative(self, req):
         super()._insert_tentative(req)
@@ -525,8 +619,9 @@ class RedBlueReplica(Replica):
         self.shadows = RenderedDict()  # dot -> (payload, lc at generation)
         self.awaiting = {}       # dot -> event id of my red op
 
-    def _state_repr(self):
-        return (self.lc, self.shadows.text(), sorted(self.awaiting))
+    def _state_parts(self):
+        # led by the clock, so hashed whole
+        return None, (self.lc, self.shadows.text(), sorted(self.awaiting))
 
     def _converged_repr(self):
         return self.shadows.text()

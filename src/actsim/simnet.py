@@ -17,13 +17,14 @@ is local read-only by its replica's `act` (`ActSpec.local_ro`).  The world
 hashes a replica's state once per step: the digest before a step is the one
 recorded after that replica's previous step.  Nor is the state rendered or
 hashed afresh: each replica keeps its state's text current as the state
-changes, and keeps the sha256 state of the text that leads it, fed once per
-change of that text (see `protocols`).  So a step hashes only the short rest
-of the state, the part of the text that changes often.  Delivered sets (one
-event mask per replica for RB and one for TOB) and the total order are kept
-as the run goes, and the partition timeline is read once per partition
-epoch, so no step rescans the run or the schedule.  Replicas answer in event
-ids, so a response is recorded as given.
+changes, and the container that leads the state keeps the sha256 state of
+its text, fed with what a change adds rather than with the whole text (see
+`protocols`).  So a step hashes only the short rest of the state, the part
+of the text that changes often.  Delivered sets (one event mask per replica
+for RB and one for TOB) and the total order are kept as the run goes, and
+the partition timeline is read once per partition epoch, so no step rescans
+the run or the schedule.  Replicas answer in event ids, so a response is
+recorded as given.
 
 A trace's JSON holds its protocol, its events keyed by id and its steps, in
 the formats `TRACE_EVENT` and `TRACE_STEP` declare (see `model.JsonRecord`).
@@ -41,8 +42,8 @@ from math import inf
 from operator import itemgetter
 from typing import Optional
 
-from .model import (LABEL, LEVELS, MASK, OP, PAIRS, RVAL, SCALAR, SEQUENCE,
-                    JsonRecord, OperationLabel, ReturnValue, conform,
+from .model import (LABEL, LEVELS, MASK, OP, PAIRS, RV, RVAL, SCALAR,
+                    SEQUENCE, JsonRecord, OperationLabel, ReturnValue, conform,
                     event_key)
 from .predicates import PredicateReport, report
 
@@ -181,7 +182,7 @@ class EventRecord:
 TRACE_EVENT = JsonRecord({
     "replica": int, "op": OP, "level": LEVELS, "local_ro": bool,
     "client": str, "invoke_step": int, "req_dot": ([int], None),
-    "return_step": (int, None), "rval": ({"tag": str}, None),
+    "return_step": (int, None), "rval": (RV, None),
     "tobno": (int, None), "rbdel": [int], "tobdel": [int],
     "trace_snapshot": ([int], None), "essential_edges": [[int]]},
     op=LABEL, req_dot=SEQUENCE, rval=RVAL, rbdel=MASK,

@@ -35,8 +35,9 @@ class VisibleGetReplica(NncReplica):
         super().__init__(rid)
         self.read_count = 0
 
-    def _state_repr(self):
-        return (super()._state_repr(), self.read_count)
+    def _state_parts(self):
+        lead, rest = super()._state_parts()
+        return lead, (*rest, self.read_count)
 
     def on_invoke(self, event_id, op, level, now_clock):
         if op.name == "get":
@@ -86,7 +87,7 @@ class SlowAddReplica(NncReplica):
             return super().on_invoke(event_id, op, level, now_clock)
         dot = self.mint_dot()
         amount = op.args[0]
-        self.known_adds[dot] = amount
+        self._learn(dot, amount)
         self.slow[dot] = event_id
         eff = Effects(casts=[(RB, ("ADD", dot, amount)),
                              (TOB, ("ADD", dot, amount))])

@@ -281,6 +281,8 @@ MISTYPED_HISTORY_LINES = {
     "args-not-a-list": lambda rec: rec.update(op={"name": "add", "args": 5}),
     "line-a-list": lambda rec: [1, 2],
     "lvl-neither-weak-nor-strong": lambda rec: rec.update(lvl="medium"),
+    "rval-without-value": lambda rec: rec.update(
+        rval={"tag": rec["rval"]["tag"]}),
 }
 
 
@@ -431,6 +433,8 @@ def test_cli_check_and_brute_reject_mistyped_operations(tmp_path, capsys,
     ("events", "rbdel", None),
     ("events", "level", "medium"),
     ("steps", "kind", "invoke!"),
+    pytest.param("events", "rval", {"tag": "ok"},
+                 id="events-rval-without-value"),
 ])
 def test_cli_lint_rejects_mistyped_traces(tmp_path, capsys, where, field,
                                           value):
@@ -443,7 +447,7 @@ def test_cli_lint_rejects_mistyped_traces(tmp_path, capsys, where, field,
     bad.write_text(json.dumps(trace))
     capsys.readouterr()
     assert main(["lint", str(bad)]) == 2
-    assert "malformed trace" in capsys.readouterr().err
+    assert "malformed trace %s 0" % where[:-1] in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["01", "1_5", " 3"])

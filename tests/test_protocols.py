@@ -1,6 +1,8 @@
 """Unit tests for the replica implementations, driven without the network,
 and for the containers that keep their state text current."""
 
+import hashlib
+import random
 from bisect import bisect_left, insort
 
 import pytest
@@ -161,6 +163,38 @@ def test_redblue_red_append_answers_at_commit():
     assert done.responses[0].event_id == 0
 
 
+def test_counter_value_equals_the_sum_of_its_known_adds_at_every_get():
+    """The counter keeps a running total while every known amount is an
+    int, add(True) among them, and sums its known adds once one is not:
+    sum() rounds floats its own way (compensated from Python 3.12 on)."""
+    seen = []
+
+    class Checking(NncReplica):
+        def on_invoke(self, event_id, op, level, now_clock):
+            if op.name == "get":
+                want = sum(self.known_adds.values()) - self.committed_sub
+                got = self.value()
+                assert got == want and type(got) is type(want)
+                seen.append(type(got))
+            return super().on_invoke(event_id, op, level, now_clock)
+
+    amounts = [True, 2, True, 3] + [0.5, 0.1, True, 0.1, 0.1, 2] * 3
+    workload = []
+    for i, amount in enumerate(amounts):
+        workload.append(Invoke(1 + 3 * i, "a%d" % i, i % 3,
+                               lab("add", amount), WEAK))
+        workload.append(Invoke(2 + 3 * i, "g%d" % i, (i + 1) % 3,
+                               lab("get"), WEAK))
+    workload.append(Invoke(3 * len(amounts), "s", 0, lab("subtract", 1),
+                           STRONG))
+    world = SimWorld([Checking(i) for i in range(3)],
+                     Schedule(rb_delay=2, tob_delay=4, jitter=1), workload,
+                     protocol="nnc").run_to_quiescence()
+    for rid in range(3):
+        world.replicas[rid].on_invoke(None, lab("get"), WEAK, world.now)
+    assert seen.count(int) >= 4 and seen.count(float) >= 15
+
+
 # -- the rendered state containers -----------------------------------------
 
 dots = st.tuples(st.integers(0, 3), st.integers(1, 40))
@@ -168,17 +202,27 @@ values = st.one_of(st.integers(-5, 5),
                    st.tuples(st.text("ab", max_size=2), st.integers(0, 9)))
 
 
-@given(st.lists(st.tuples(st.booleans(), dots, values), max_size=60))
-def test_rendered_dict_text_is_its_sorted_items(writes):
+def head_hexdigest(text):
+    return hashlib.sha256(("(" + text).encode()).hexdigest()
+
+
+@given(st.lists(st.tuples(st.booleans(), dots, values), max_size=60),
+       st.integers(0, 60))
+def test_rendered_dict_text_is_its_sorted_items(writes, hashed_from):
+    """Its text, and from the hashed_from-th write on, its head hash, which
+    the first call begins."""
     d, plain = RenderedDict(), {}
-    for assign, key, value in writes:
+    for n, (assign, key, value) in enumerate(writes):
         if assign:
             d[key] = value
             plain[key] = value
-        else:
-            assert d.setdefault(key, value) == plain.setdefault(key, value)
+        elif key not in d:
+            d[key] = value
+            plain[key] = value
         assert d == plain
         assert d.text() == repr(sorted(plain.items()))
+        if n >= hashed_from:
+            assert d.head_hash().hexdigest() == head_hexdigest(d.text())
     assert repr((d.text(), 0)) == repr((sorted(plain.items()), 0))
 
 
@@ -186,10 +230,13 @@ def test_rendered_dict_text_is_its_sorted_items(writes):
        st.lists(st.one_of(st.tuples(st.integers(0, 9), dots),
                           st.integers(0, 39)), max_size=60))
 def test_rendered_log_text_is_its_list_of_dots(appended, changes):
+    """Its text, and its head hash: appends extend the running hash, and
+    inserts elsewhere and deletes feed it afresh."""
     log = RenderedLog()
     for i, dot in enumerate(appended):
         log.append(Req(i, dot, lab("append", "a")))
         assert log.text() == repr([r.dot for r in log])
+        assert log.head_hash().hexdigest() == head_hexdigest(log.text())
     assert [r.dot for r in log] == appended
     # as a tentative log changes: requests insorted in (timestamp, dot)
     # order, and deleted anywhere
@@ -203,6 +250,7 @@ def test_rendered_log_text_is_its_list_of_dots(appended, changes):
             del log[change % len(log)]
             del plain[change % len(plain)]
         assert log == plain and log.text() == repr([r.dot for r in log])
+        assert log.head_hash().hexdigest() == head_hexdigest(log.text())
 
 
 def test_rendered_containers_refuse_every_other_mutator():
@@ -212,7 +260,8 @@ def test_rendered_containers_refuse_every_other_mutator():
     log.append(Req(0, (0, 1), lab("append", "a")))
     req = Req(1, (0, 2), lab("append", "b"))
     refused = [
-        lambda: d.update({(0, 2): 2}), lambda: d.pop((0, 1)), d.popitem,
+        lambda: d.update({(0, 2): 2}), lambda: d.setdefault((0, 2), 2),
+        lambda: d.pop((0, 1)), d.popitem,
         d.clear, lambda: log.extend([req]), log.pop,
         lambda: log.remove(log[0]), log.clear, log.sort, log.reverse]
     for mutate in refused:
@@ -300,3 +349,95 @@ def test_logs_changed_in_place_keep_the_trace_digests_at_scale(make, n,
     assert len(world.trace.events) == n
     assert world.trace.digest() == digest
     assert all(r.inner_inserts and r.inner_commits for r in world.replicas)
+
+
+# -- the counter's and red-blue's dicts at scale, with jitter ---------------
+
+class RunRecordingDict(RenderedDict):
+    """A RenderedDict counting the new keys set past the end of their
+    origin's run, inside it, and as its first key."""
+
+    def __init__(self):
+        super().__init__()
+        self.ends = {}          # origin -> its last key
+        self.past_end = self.inside = self.first = 0
+
+    def __setitem__(self, key, value):
+        if key not in self:
+            end = self.ends.get(key[0])
+            if end is None:
+                self.first += 1
+            elif key > end:
+                self.past_end += 1
+            else:
+                self.inside += 1
+            self.ends[key[0]] = key if end is None else max(end, key)
+        super().__setitem__(key, value)
+
+
+def run_recording(cls, attr):
+    """cls, with its RenderedDict attr a RunRecordingDict."""
+
+    class Recording(cls):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            setattr(self, attr, RunRecordingDict())
+
+    return Recording
+
+
+def _jittered_world(cls, n, ops, protocol, seed):
+    """Three replicas of cls, n invokes 1-3 steps apart drawn from ops,
+    jitter 3 and replica 2 cut off for the middle third of the span."""
+    rng = random.Random(seed)
+    invokes, step = [], 0
+    for i in range(n):
+        step += rng.randint(1, 3)
+        name, args, level = rng.choice(ops)
+        invokes.append(Invoke(step, "c%d" % (i % 8), rng.randrange(3),
+                              lab(name, *args), level))
+    schedule = Schedule(seed=rng.getrandbits(32), rb_delay=2, tob_delay=4,
+                        jitter=3, partitions=((step // 3, ((0, 1), (2,))),
+                                              (2 * step // 3, ((0, 1, 2),))))
+    return SimWorld([cls(i) for i in range(3)], schedule, invokes,
+                    protocol=protocol)
+
+
+def jittered_counter_world(n):
+    ops = [("add", (k,), WEAK) for k in (1, 2, 3)] + [
+        ("get", (), WEAK), ("get", (), WEAK), ("subtract", (2,), STRONG)]
+    return _jittered_world(run_recording(NncReplica, "known_adds"), n, ops,
+                           "nnc", "counter/%d" % n)
+
+
+def jittered_redblue_world(n):
+    ops = [("append", (c,), WEAK) for c in "abc"] + [
+        ("append", ("d",), STRONG), ("read", (), WEAK), ("read", (), WEAK)]
+    return _jittered_world(run_recording(RedBlueReplica, "shadows"), n, ops,
+                           "redblue", "redblue/%d" % n)
+
+
+# (world, invokes, the attribute holding its dict, its pinned trace digest)
+JITTERED_WORLDS = [
+    (jittered_counter_world, 1600, "known_adds",
+     "39f8049d63e8185cf298d0510c32157f4409a9be16d011d7e418861f206aa768"),
+    (jittered_redblue_world, 800, "shadows",
+     "f3e0bfdc24c67f2c2ccc184653c8f3d9ee80de85c9ca2ad731bf6d529393284b"),
+]
+
+
+@pytest.mark.parametrize("make,n,attr,digest", JITTERED_WORLDS,
+                         ids=["counter", "red-blue"])
+def test_dicts_keep_the_trace_digests_at_scale(make, n, attr, digest):
+    """RB jitter and a partition make dots reach a replica out of their
+    origin's order: most land past the end of their run, at every replica,
+    and some inside it.  The traces keep their pinned digests.  The
+    counter's known adds lead its state, so its digests go through the
+    dict's checkpoints; red-blue's shadows do not, and go through its
+    text."""
+    world = make(n).run_to_quiescence()
+    assert len(world.trace.events) == n
+    assert world.trace.digest() == digest
+    dicts = [getattr(r, attr) for r in world.replicas]
+    assert all(d.first == 3 and d.past_end > n / 4 for d in dicts)
+    assert sum(d.inside for d in dicts) > 10

@@ -378,14 +378,20 @@ def test_hash_before_equals_a_fresh_digest_at_handler_entry(monkeypatch):
 
 def test_digests_equal_those_of_a_from_scratch_render(monkeypatch):
     checked = {}
+    # each class's state rendered from scratch; the visible-get mutant adds
+    # its read count to the counter's
+    scratch = dict(reference.STATE_REPRS)
+    scratch[mutants.VisibleGetReplica] = (
+        lambda r: (*reference.nnc_state(r), r.read_count),
+        reference.nnc_converged)
 
     def check(rep):
         got = rep.state_digest(), rep.convergence_digest()
         with pytest.MonkeyPatch.context() as m:
-            for cls, (state, converged) in reference.STATE_REPRS.items():
+            for cls, (state, converged) in scratch.items():
                 m.setattr(cls, "_state_repr", state)
                 m.setattr(cls, "_converged_repr", converged)
-            want = rep.state_digest(), rep.convergence_digest()
+            want = reference.state_digest(rep), rep.convergence_digest()
         name = type(rep).__name__
         assert got == want, name
         checked[name] = checked.get(name, 0) + 1
@@ -553,27 +559,66 @@ def test_every_request_names_the_event_that_minted_its_dot():
     assert min(checked.values()) > 100
 
 
-class DigestCountingReplica(NncReplica):
-    calls = 0
-
-    def state_digest(self):
-        DigestCountingReplica.calls += 1
-        return super().state_digest()
-
-
 class CountingHashlib:
-    """Stands in for `hashlib` in `protocols`: counts sha256 states begun."""
+    """Stands in for `hashlib` in `protocols`: counts the bytes fed to the
+    sha256 states it begins and to their copies."""
 
     def __init__(self):
-        self.begun = 0
+        self.fed = 0
 
     def sha256(self, data=b""):
-        self.begun += 1
-        return hashlib.sha256(data)
+        counted = CountedSha256(self, hashlib.sha256())
+        counted.update(data)
+        return counted
+
+
+class CountedSha256:
+    def __init__(self, counting, state):
+        self.counting, self.state = counting, state
+
+    def update(self, data):
+        self.counting.fed += len(data)
+        self.state.update(data)
+
+    def copy(self):
+        return CountedSha256(self.counting, self.state.copy())
+
+    def hexdigest(self):
+        return self.state.hexdigest()
+
+
+def measuring(cls):
+    """cls, noting per state_digest call the length of the state's leading
+    text, the length of the rest of its repr, and whether the leading text
+    changed since the last call."""
+
+    class Measuring(cls):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.calls, self._lead = [], None
+
+        def state_digest(self):
+            state = self._state_repr()
+            lead = state[0]
+            self.calls.append((len(lead), len(repr(state)) - len(lead) - 1,
+                               lead != self._lead))
+            self._lead = lead
+            return super().state_digest()
+
+    return Measuring
+
+
+def digests_fed_within(world, counting, share):
+    """Whether the bytes counting saw fed to sha256 over world's run stay
+    within the rest of the state's repr per digest, plus, per change of a
+    leading text, 32 bytes and share of that text."""
+    calls = [c for rep in world.replicas for c in rep.calls]
+    rests = sum(rest for _, rest, _ in calls)
+    changes = [lead for lead, _, changed in calls if changed]
+    return counting.fed <= rests + sum(32 + share * lead for lead in changes)
 
 
 def test_state_digests_grow_linearly_with_the_steps(monkeypatch):
-    monkeypatch.setattr(DigestCountingReplica, "calls", 0)
     renders = []
     monkeypatch.setattr(protocols, "_render",
                         lambda obj: renders.append(obj) or repr(obj))
@@ -588,19 +633,42 @@ def test_state_digests_grow_linearly_with_the_steps(monkeypatch):
     schedule = Schedule(seed=7, rb_delay=2, tob_delay=4, jitter=3,
                         partitions=((100, ((0, 1), (2,))),
                                     (200, ((0, 1, 2),))))
-    world = SimWorld([DigestCountingReplica(i) for i in range(3)], schedule,
-                     workload, protocol="nnc")
+    cls = measuring(NncReplica)
+    world = SimWorld([cls(i) for i in range(3)], schedule, workload,
+                     protocol="nnc")
     world.run_to_quiescence()
     harness.inject_probes(world, lab("get"), WEAK)
     assert len(world.trace.steps) > 500
-    assert DigestCountingReplica.calls <= len(world.trace.steps) + 3
+    calls = sum(len(r.calls) for r in world.replicas)
+    assert calls <= len(world.trace.steps) + 3
     # a known add's (dot, amount) pair is rendered once, when first set,
     # however many steps hash the state afterwards
     assert len(renders) == sum(len(r.known_adds) for r in world.replicas)
     assert len(renders) < len(world.trace.steps)
-    # each version of a replica's known adds, from the empty one on, is
-    # hashed once; a step hashes only the rest of the state after it
-    assert counting.begun == len(renders) + len(world.replicas)
+    # a step hashes the rest of the state; a new known add feeds its pair
+    # and the origin runs after its own, about a third of the known adds'
+    # text here, where hashing the text afresh feeds all of it
+    assert digests_fed_within(world, counting, share=0.5)
+
+
+def test_committed_log_digests_feed_only_what_is_appended(monkeypatch):
+    counting = CountingHashlib()
+    monkeypatch.setattr(protocols, "hashlib", counting)
+    cls = measuring(protocols.MixedLogReplica)
+    world = SimWorld(
+        [cls(0), cls(1), cls(2)],
+        Schedule(rb_delay=3, tob_delay=5, jitter=2,
+                 clock_skew=((0, 11), (2, -6))),
+        [Invoke(i + 1, "c%d" % (i % 12), i % 3,
+                lab("read") if i % 4 == 1 else lab("append", "abcde"[i % 5]),
+                STRONG if i % 7 == 3 else WEAK)
+         for i in range(150)], protocol="log")
+    world.run_to_quiescence()
+    harness.inject_probes(world, lab("read"), WEAK)
+    assert len(world.trace.steps) > 500
+    assert sum(len(r.committed) for r in world.replicas) > 300
+    # a step hashes the rest of the state, and a commit feeds one dot
+    assert digests_fed_within(world, counting, share=0)
 
 
 def test_delivered_sets_are_masks_of_the_delivered_events():
