@@ -234,7 +234,8 @@ _TENTATIVE_LOG = dict(
     replicas=lambda: [MixedLogReplica(0), MixedLogReplica(1)],
     protocol="log", probe=op("read"),
     witness=lambda h, world: (
-        "log", build_log_witness(h, world.trace, world.mode)),
+        "log", build_log_witness(h, world.trace, world.mode,
+                                 clock_skew=world.schedule.clock_skew)),
     checks=(("FEC", WEAK), ("Lin", STRONG)))
 
 SCENARIOS = {sc.name: sc for sc in (

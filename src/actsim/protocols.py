@@ -16,27 +16,24 @@ state digest, and answer through Effects records.  Each class names the
 `ActSpec` it implements as `act` (the primary-commit log names none), whose
 data type alone declares which operations read or write the state.
 
-The world hashes a replica's state after every step, so the state's text is
-kept current as the state changes instead of being rendered afresh each
-step.  The parts of a state that grow with the run live in two containers.
-A `RenderedDict` renders each `(key, value)` pair when the key is set and
-keeps the pairs in key order, one run per origin replica; a `RenderedLog`
-renders each request's dot when the request is inserted and drops it with
-the request, so both logs of a log replica change in place.  Their `text()`
-joins those fragments into exactly what `repr` gives for the sorted items or
-the list of dots.
+The world hashes a replica's state, a tuple, after every step.  The parts
+of a state that grow with the run are containers whose repr is their text,
+kept current as they change, so a tuple holding one renders as it would
+holding the plain list it stands for.  A `RenderedDict` (the counter's
+known adds, red-blue's shadows) renders each `(key, value)` pair when the
+key is set; a log replica's `CommittedLog` only grows, and renders its
+dots on demand; its `TentativeLog` renders each dot on insert and joins
+them once per change.
 
-A state is a tuple, and the counter's and the logs' states lead with such a
-container: `_state_parts` names it and the rest of the tuple.  The
-container keeps the sha256 state of "(" and its text as the text changes,
-so a change costs what it changes: the committed log extends a running
-hash by each dot it appends, and the counter's known adds extend the
-checkpoint of a dot's origin run and feed the later runs again.  Each step
-copies that state and hashes only the rest of the tuple, a few numbers and
-short lists, formatted in one step; no step joins or hashes the whole
-leading text.  A state led by no container is hashed whole.  Either way
-the digest hashes exactly the bytes of `repr(state)`, as rendering and
-hashing the whole state would.
+The counter's and the logs' states lead with the dict or the committed
+log, which `_state_parts` names apart from the rest of the tuple.  That
+container keeps the sha256 state of "(" and its text as the text changes:
+the committed log extends a running hash by each dot it appends, and the
+known adds extend the checkpoint of a dot's origin run and feed the later
+runs again.  Each step copies that state and hashes only the rest of the
+tuple, a few numbers and short lists formatted in one step.  A state led
+by no container is hashed whole.  Either way the digest hashes exactly the
+bytes of `repr(state)`.
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ from functools import cache
 from typing import Optional
 
 from .model import OK, OperationLabel, STRONG, WEAK, rv_int, rv_bool, rv_str
-from .rdt import ACT_NNC, ACT_SEQ_MIXED, ACT_SEQ_REDBLUE
+from .rdt import ACT_NNC, ACT_SEQ_MIXED, ACT_SEQ_REDBLUE, BadOperation
 from .simnet import Effects, FIFO_RB, RB, Response, TOB
 
 
@@ -76,21 +73,7 @@ def _tail_format(n):
     return ", %r" * n + ")" if n else ",)"
 
 
-_render = repr    # every fragment of a state's text is rendered through here
-
-
-class StateText(str):
-    """A rendered state component that `repr` writes out unchanged, so a
-    tuple holding it renders exactly like a tuple holding the list it was
-    rendered from."""
-
-    __slots__ = ()
-    __repr__ = str.__str__
-
-
-def _list_text(fragments):
-    """The text of a list whose items render as fragments (UTF-8 bytes)."""
-    return StateText("[" + b", ".join(fragments).decode() + "]")
+_render = repr    # every fragment a container keeps or hashes renders here
 
 
 def _refuse(self, *args, **kwargs):
@@ -99,26 +82,26 @@ def _refuse(self, *args, **kwargs):
 
 
 class RenderedDict(dict):
-    """A dict of dots whose `text()` is `repr(sorted(self.items()))`.
+    """A dict of dots whose repr is `repr(sorted(self.items()))`.
 
     A key is a dot, and its first item, the replica that minted it, names
     its run: the keys of one origin, which sort together.  Each run keeps
-    its keys in order, each with its rendered `(key, value)` pair, and those
-    pairs joined, so setting a key renders that pair alone.  The dict
+    its keys in order, each with its rendered `(key, value)` pair, and
+    those pairs joined, so setting a key renders that pair alone.  The dict
     changes only by item assignment; every other mutator raises, so the
     text cannot fall behind the contents.
 
-    `head_hash()` is the sha256 state of `"(" + text()`, as a state tuple
-    led by the dict begins.  From the first call on, the dict keeps a
-    checkpoint per run: the sha256 state of `"(["` and the text up to that
-    run's end.  A key set past the end of its run extends that run's
-    checkpoint by its pair; any other change joins its run again and feeds
-    it from the checkpoint before.  Either way the later runs are fed again
-    from their joined texts, so only the changed run is joined.
+    `head_hash()` is the sha256 state of `"(" + repr(self)`, as a state
+    tuple led by the dict begins.  It keeps a checkpoint per run: the
+    sha256 state of `"(["` and the text up to that run's end.  A key set
+    past the end of its run extends that run's checkpoint by its pair, and
+    any set drops the checkpoints of the later runs (and of its own run,
+    unless extended); the next call feeds those again from the checkpoint
+    before and the runs' joined texts.
     """
 
     __slots__ = ("_origins", "_keys", "_fragments", "_texts", "_marks",
-                 "_text", "_head")
+                 "_repr", "_head")
 
     def __init__(self):
         super().__init__()
@@ -126,8 +109,8 @@ class RenderedDict(dict):
         self._keys = []           # per run, its keys in order
         self._fragments = []      # per run, its rendered pairs in key order
         self._texts = []          # per run, its pairs joined by ", "
-        self._marks = None        # per run, its checkpoint, once asked for
-        self._text = self._head = None    # until the next change
+        self._marks = []          # per run, its checkpoint, until dropped
+        self._repr = self._head = None    # until the next change
 
     def __setitem__(self, key, value):
         fragment = _render((key, value)).encode()
@@ -143,9 +126,9 @@ class RenderedDict(dict):
             self._fragments[j].append(fragment)
             fragment = b", " + fragment
             self._texts[j] += fragment
-            if marks is not None:
+            if j < len(marks):
                 marks[j].update(fragment)
-            j += 1
+                j += 1
         else:
             keys, fragments = self._keys[j], self._fragments[j]
             i = bisect_left(keys, key)
@@ -155,35 +138,26 @@ class RenderedDict(dict):
                 keys.insert(i, key)
                 fragments.insert(i, fragment)
             self._texts[j] = b", ".join(fragments)
-        if marks is not None and j < len(origins):
-            self._refeed(j)
-        dict.__setitem__(self, key, value)
-        self._text = self._head = None
-
-    def _refeed(self, j):
-        """Feed the checkpoints of run j and of every later run again."""
-        marks = self._marks
         del marks[j:]
-        for text in self._texts[j:]:
-            if marks:
-                mark = marks[-1].copy()
-                mark.update(b", ")
-            else:
-                mark = hashlib.sha256(b"([")
-            mark.update(text)
-            marks.append(mark)
+        dict.__setitem__(self, key, value)
+        self._repr = self._head = None
 
-    def text(self):
-        if self._text is None:
-            self._text = _list_text(self._texts)
-        return self._text
+    def __repr__(self):
+        if self._repr is None:
+            self._repr = "[" + b", ".join(self._texts).decode() + "]"
+        return self._repr
 
     def head_hash(self):
         if self._head is None:
-            if self._marks is None:
-                self._marks = []
-                self._refeed(0)
             marks = self._marks
+            for text in self._texts[len(marks):]:
+                if marks:
+                    mark = marks[-1].copy()
+                    mark.update(b", ")
+                else:
+                    mark = hashlib.sha256(b"([")
+                mark.update(text)
+                marks.append(mark)
             head = marks[-1].copy() if marks else hashlib.sha256(b"([")
             head.update(b"]")
             self._head = head
@@ -193,60 +167,72 @@ class RenderedDict(dict):
     __delitem__ = __ior__ = _refuse
 
 
-class RenderedLog(list):
-    """A list of requests whose `text()` is `repr([r.dot for r in self])`:
-    each dot is rendered once, on insert, and dropped with its request.  It
-    changes only by `insert` (which `append` and `bisect.insort` call) and
-    `del`; every other mutator raises.
+class CommittedLog(list):
+    """An append-only list of requests whose repr is `repr([r.dot for r in
+    self])`, rendered on demand.
 
-    `head_hash()` is the sha256 state of `"(" + text()`.  From the first
-    call on, the log keeps a running sha256 of `"(["` and its dots joined by
-    `", "`, which an append extends by one dot; an insert elsewhere or a
-    `del` drops it, and the next call feeds it afresh.
+    It keeps a running sha256 of `"(["` and its dots joined by `", "`, which
+    an append extends by its dot, so `head_hash()`, the sha256 state of
+    `"(" + repr(self)`, costs one copy.  It changes only by `append`; every
+    other mutator raises.
     """
 
-    __slots__ = ("_fragments", "_run", "_text", "_head")
+    __slots__ = ("_run", "_head")
 
     def __init__(self):
         super().__init__()
-        self._fragments = []
-        self._run = None              # the running sha256, once asked for
-        self._text = self._head = None    # until the next change
-
-    def insert(self, i, req):
-        fragment = _render(req.dot).encode()
-        if self._run is not None:
-            if i >= len(self):
-                self._run.update(b", " + fragment if self else fragment)
-            else:
-                self._run = None
-        self._fragments.insert(i, fragment)
-        super().insert(i, req)
-        self._text = self._head = None
+        self._run = hashlib.sha256(b"([")
+        self._head = None             # until the next append
 
     def append(self, req):
-        self.insert(len(self), req)
+        fragment = _render(req.dot).encode()
+        self._run.update(b", " + fragment if self else fragment)
+        super().append(req)
+        self._head = None
 
-    def __delitem__(self, i):
-        del self._fragments[i]
-        super().__delitem__(i)
-        self._run = self._text = self._head = None
-
-    def text(self):
-        if self._text is None:
-            self._text = _list_text(self._fragments)
-        return self._text
+    def __repr__(self):
+        return repr([r.dot for r in self])
 
     def head_hash(self):
         if self._head is None:
-            if self._run is None:
-                self._run = hashlib.sha256(
-                    b"([" + b", ".join(self._fragments))
             self._head = self._run.copy()
             self._head.update(b"]")
         return self._head
 
-    extend = pop = remove = clear = sort = reverse = _refuse
+    insert = extend = pop = remove = clear = sort = reverse = _refuse
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
+
+
+class TentativeLog(list):
+    """A list of requests whose repr is `repr([r.dot for r in self])`: each
+    dot is rendered once, on insert, and dropped with its request, and the
+    repr is joined once per change.  It changes only by `insert` (which
+    `bisect.insort` calls) and `del`; every other mutator raises.
+    """
+
+    __slots__ = ("_fragments", "_repr")
+
+    def __init__(self):
+        super().__init__()
+        self._fragments = []
+        self._repr = None             # until the next change
+
+    def insert(self, i, req):
+        self._fragments.insert(i, _render(req.dot))
+        super().insert(i, req)
+        self._repr = None
+
+    def __delitem__(self, i):
+        del self._fragments[i]
+        super().__delitem__(i)
+        self._repr = None
+
+    def __repr__(self):
+        if self._repr is None:
+            self._repr = "[" + ", ".join(self._fragments) + "]"
+        return self._repr
+
+    append = extend = pop = remove = clear = sort = reverse = _refuse
     __setitem__ = __iadd__ = __imul__ = _refuse
 
 
@@ -296,10 +282,7 @@ class Replica:
 
     def _state_repr(self):
         lead, rest = self._state_parts()
-        return rest if lead is None else (lead.text(), *rest)
-
-    def _converged_repr(self):
-        return self._state_repr()
+        return rest if lead is None else (lead, *rest)
 
 
 class NncReplica(Replica):
@@ -319,35 +302,31 @@ class NncReplica(Replica):
         self.committed_add = 0
         self.committed_sub = 0
         self.awaiting = {}       # dot -> event id of my undecided subtract
-        self._total = 0          # the known adds' sum, while all are ints
+        self._total = 0          # the known adds' sum
 
     def _state_parts(self):
         return self.known_adds, (self.committed_add, self.committed_sub,
                                  sorted(self.awaiting))
 
     def _converged_repr(self):
-        return (self.known_adds.text(), self.committed_add,
-                self.committed_sub)
+        return self.known_adds, self.committed_add, self.committed_sub
 
     def _learn(self, dot, amount):
         """Know the add dot of amount, unless it is known already."""
         if dot not in self.known_adds:
             self.known_adds[dot] = amount
-            if self._total is not None:
-                self._total = (self._total + amount
-                               if isinstance(amount, int) else None)
+            self._total += amount
 
     def value(self):
-        total = self._total
-        if total is None:
-            # sum() rounds a sum of floats its own way (compensated from
-            # Python 3.12 on), so a float amount is summed by it
-            total = sum(self.known_adds.values())
-        return total - self.committed_sub
+        return self._total - self.committed_sub
 
     def on_invoke(self, event_id, op, level, now_clock):
         if op.name == "get":
             return Effects(responses=[Response(event_id, rv_int(self.value()))])
+        if op.name in ("add", "subtract") and type(op.args[0]) is not int:
+            # as f_nnc's signature has it, a bool is no int
+            raise BadOperation("%s takes an int, not %r"
+                               % (op.name, op.args[0]))
         dot = self.mint_dot()
         if op.name == "add":
             amount = op.args[0]
@@ -391,12 +370,12 @@ class LogReplica(Replica):
 
     def __init__(self, rid):
         super().__init__(rid)
-        self.committed = RenderedLog()   # Req, in commit order
-        self.tentative = RenderedLog()   # Req, kept sorted
+        self.committed = CommittedLog()   # Req, in commit order
+        self.tentative = TentativeLog()   # Req, kept sorted
         self.known = set()               # dots in either log
 
     def _converged_repr(self):
-        return (self.committed.text(), self.tentative.text())
+        return self.committed, self.tentative
 
     def _insert_tentative(self, req):
         insort(self.tentative, req)
@@ -451,7 +430,7 @@ class MixedLogReplica(LogReplica):
         self._committed_text = ""      # what the committed appends spell
 
     def _state_parts(self):
-        return self.committed, (self.tentative.text(), sorted(self.awaiting))
+        return self.committed, (self.tentative, sorted(self.awaiting))
 
     def _commit(self, req):
         if moved := super()._commit(req):
@@ -572,7 +551,7 @@ class ClassicLogReplica(LogReplica):
         self.commit_queue = deque()   # Req, in learn order, primary only
 
     def _state_parts(self):
-        return self.committed, (self.tentative.text(),
+        return self.committed, (self.tentative,
                                 [r.dot for r in self.commit_queue])
 
     def _insert_tentative(self, req):
@@ -621,10 +600,10 @@ class RedBlueReplica(Replica):
 
     def _state_parts(self):
         # led by the clock, so hashed whole
-        return None, (self.lc, self.shadows.text(), sorted(self.awaiting))
+        return None, (self.lc, self.shadows, sorted(self.awaiting))
 
     def _converged_repr(self):
-        return self.shadows.text()
+        return self.shadows
 
     def _apply(self, dot, payload, lc):
         if dot in self.shadows:

@@ -16,15 +16,15 @@ and `check_act_restrictions` lints the recorded trace in one pass; an invoke
 is local read-only by its replica's `act` (`ActSpec.local_ro`).  The world
 hashes a replica's state once per step: the digest before a step is the one
 recorded after that replica's previous step.  Nor is the state rendered or
-hashed afresh: each replica keeps its state's text current as the state
-changes, and the container that leads the state keeps the sha256 state of
-its text, fed with what a change adds rather than with the whole text (see
-`protocols`).  So a step hashes only the short rest of the state, the part
-of the text that changes often.  Delivered sets (one event mask per replica
-for RB and one for TOB) and the total order are kept as the run goes, and
-the partition timeline is read once per partition epoch, so no step rescans
-the run or the schedule.  Replicas answer in event ids, so a response is
-recorded as given.
+hashed afresh: the parts of a state that grow with the run are containers
+whose repr is their text, kept current as the state changes, and the
+container that leads the state keeps the sha256 state of its text, fed with
+what a change adds rather than with the whole text (see `protocols`).  So a
+step hashes only the short rest of the state, the part of the text that
+changes often.  Delivered sets (one event mask per replica for RB and one
+for TOB) and the total order are kept as the run goes, and the partition
+timeline is read once per partition epoch, so no step rescans the run or the
+schedule.  Replicas answer in event ids, so a response is recorded as given.
 
 A trace's JSON holds its protocol, its events keyed by id and its steps, in
 the formats `TRACE_EVENT` and `TRACE_STEP` declare (see `model.JsonRecord`).

@@ -145,9 +145,12 @@ def build_nnc_witness(history: History, trace: ProtocolTrace,
 
 
 def build_log_witness(history: History, trace: ProtocolTrace,
-                      mode="stable") -> AbstractExecution:
+                      mode="stable", *, clock_skew=()) -> AbstractExecution:
     """Tentative-log witness: arbitration is the commit order; weak events
-    perceive their own tentative snapshot first."""
+    perceive their own tentative snapshot first.  Uncommitted weak requests
+    follow in the order the replicas sort them, by (invoke step plus the
+    clock skew of the request's replica, dot); clock_skew is the world's
+    `Schedule.clock_skew`."""
     rb = history.rb
     recs = trace.events
     ids = history.ids()
@@ -158,8 +161,10 @@ def build_log_witness(history: History, trace: ProtocolTrace,
 
     committed = sorted((recs[e].tobno, e) for e in shared
                        if recs[e].tobno is not None)
+    skew = dict(reversed(clock_skew))   # the first offset per replica wins
     uncommitted_weak = sorted(
-        ((history.event(e).invoke_ts, recs[e].req_dot), e)
+        ((history.event(e).invoke_ts + skew.get(recs[e].req_dot[0], 0),
+          recs[e].req_dot), e)
         for e in shared if recs[e].tobno is None and e not in strong)
     base = ([e for _, e in committed] + [e for _, e in uncommitted_weak]
             + sorted(pending_strong - {e for _, e in committed}))

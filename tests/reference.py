@@ -97,7 +97,7 @@ def build_nnc_witness(history, trace, mode="stable"):
     return AbstractExecution(history, Relation(edges), ar)
 
 
-def build_log_witness(history, trace, mode="stable"):
+def build_log_witness(history, trace, mode="stable", *, clock_skew=()):
     rb = history.rb
     recs = trace.events
     shared = [e for e in history.ids() if recs[e].req_dot is not None]
@@ -106,8 +106,15 @@ def build_log_witness(history, trace, mode="stable"):
     pending_strong = {e for e in strong if recs[e].pending}
     committed = sorted((recs[e].tobno, e) for e in shared
                        if recs[e].tobno is not None)
+
+    def timestamp(e):
+        """The clock of the replica that issued e, at e's invoke."""
+        origin = recs[e].req_dot[0]
+        offsets = [off for r, off in clock_skew if r == origin]
+        return history.event(e).invoke_ts + (offsets[0] if offsets else 0)
+
     uncommitted_weak = sorted(
-        ((history.event(e).invoke_ts, recs[e].req_dot), e)
+        ((timestamp(e), recs[e].req_dot), e)
         for e in shared if recs[e].tobno is None and e not in strong)
     base = ([e for _, e in committed] + [e for _, e in uncommitted_weak]
             + sorted(pending_strong - {e for _, e in committed}))

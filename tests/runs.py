@@ -59,12 +59,13 @@ def random_counter_run(seed, max_events=8, n_replicas=3, probe_count=3,
     return history, world.trace, a, hz, mode
 
 
-def random_log_run(seed, max_events=8, mode="stable", events=None,
-                   max_gap=8):
+def random_log_world(seed, max_events=8, mode="stable", events=None,
+                     max_gap=8):
     """A seeded random tentative-log workload of `events` invokes (drawn up
-    to max_events when None), each 1 to max_gap steps after the last; in
-    async mode total-order delivery stops at a random step, so some strong
-    events stay pending.  Returns (history, trace, witness, horizon)."""
+    to max_events when None), each 1 to max_gap steps after the last, with
+    replica 0's clock skewed; in async mode total-order delivery stops at a
+    random step, so some strong events stay pending.  Returns the world,
+    run with its probes, and the stabilization index."""
     rng = random.Random(seed)
     schedule = Schedule(seed=seed, rb_delay=rng.randint(1, 5),
                         tob_delay=rng.randint(3, 8),
@@ -90,11 +91,17 @@ def random_log_run(seed, max_events=8, mode="stable", events=None,
     world = SimWorld([MixedLogReplica(0), MixedLogReplica(1)], schedule,
                      workload, mode=mode, protocol="log")
     world.run_to_quiescence()
-    stab = inject_probes(world, op("read"), WEAK)
+    return world, inject_probes(world, op("read"), WEAK)
+
+
+def random_log_run(seed, **kwargs):
+    """random_log_world's run as (history, trace, witness, horizon), its
+    witness built in the run's mode with the world's clock skew."""
+    world, stab = random_log_world(seed, **kwargs)
     history = history_of(world.trace)
-    hz = HorizonConfig(stab)
-    a = build_log_witness(history, world.trace, mode)
-    return history, world.trace, a, hz
+    a = build_log_witness(history, world.trace, world.mode,
+                          clock_skew=world.schedule.clock_skew)
+    return history, world.trace, a, HorizonConfig(stab)
 
 
 # protocol -> (the operations a random world draws, each with the levels

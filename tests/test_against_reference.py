@@ -10,14 +10,16 @@ import pytest
 
 import reference
 from actsim import model, witness
-from actsim.harness import SCENARIOS, run_scenario
+from actsim.harness import SCENARIOS, history_of, run_scenario
 from actsim.model import (AbstractExecution, Event, History, OK,
                           OperationLabel, Relation, STRONG, WEAK)
-from actsim.predicates import (PREDICATES, VIOLATED, check_CPar, check_FRVal,
-                               check_NCC, check_RT, check_RVal, check_SessArb,
-                               check_SinOrd, check_composite)
+from actsim.predicates import (PREDICATES, VIOLATED, HorizonConfig,
+                               check_CPar, check_FRVal, check_NCC, check_RT,
+                               check_RVal, check_SessArb, check_SinOrd,
+                               check_composite)
 from actsim.rdt import F_MVR, F_NNC, F_SEQ
-from runs import random_counter_run, random_execution, random_log_run
+from runs import (random_counter_run, random_execution, random_log_run,
+                  random_log_world)
 
 SEEDS = range(30)
 
@@ -210,32 +212,52 @@ def test_failing_NCC_takes_one_successor_closure(closures):
 
 
 def large_log_runs():
-    """(label, history, trace, mode, horizon): 150-400-event log runs, dense
-    enough that many perceived orders differ from ar.  Each is simulated
-    stable, with its witness built stable, and async (with pending strong
-    events), with its witness built in both modes."""
+    """(label, history, trace, mode, horizon, clock skew): 150-400-event log
+    runs, dense enough that many perceived orders differ from ar.  Each is
+    simulated stable, with its witness built stable, and async (with
+    pending strong events), with its witness built in both modes."""
     for seed, events, max_gap in ((0, 150, 2), (1, 250, 3), (2, 400, 2)):
-        h, trace, _, hz = random_log_run(seed, events=events, max_gap=max_gap)
-        yield (seed, "stable", "stable"), h, trace, "stable", hz
-        h, trace, _, hz = random_log_run(seed, mode="async", events=events,
-                                         max_gap=max_gap)
-        for mode in ("stable", "async"):
-            yield (seed, "async", mode), h, trace, mode, hz
+        for sim_mode, modes in (("stable", ("stable",)),
+                                ("async", ("stable", "async"))):
+            world, stab = random_log_world(seed, mode=sim_mode, events=events,
+                                           max_gap=max_gap)
+            h = history_of(world.trace)
+            for mode in modes:
+                yield ((seed, sim_mode, mode), h, world.trace, mode,
+                       HorizonConfig(stab), world.schedule.clock_skew)
 
 
 def test_windowed_orders_and_prefix_masks_match_the_reference_at_scale():
-    differ = pending = 0
-    for label, h, trace, mode, _ in large_log_runs():
-        a = witness.build_log_witness(h, trace, mode)
-        b = reference.build_log_witness(h, trace, mode)
-        assert a.ar == b.ar, label
-        assert a.par == b.par, label
-        assert a.vis == b.vis, label
-        # an order that equals ar is the ar tuple itself
-        assert all(p is a.ar for p in a.par.values() if p == a.ar), label
-        differ += sum(p is not a.ar for p in a.par.values())
+    """Without the clock skew, and with it."""
+    differ, pending = Counter(), 0
+    for label, h, trace, mode, _, skew in large_log_runs():
+        for clock_skew in ((), skew):
+            a = witness.build_log_witness(h, trace, mode,
+                                          clock_skew=clock_skew)
+            b = reference.build_log_witness(h, trace, mode,
+                                            clock_skew=clock_skew)
+            assert a.ar == b.ar, label
+            assert a.par == b.par, label
+            assert a.vis == b.vis, label
+            # an order that equals ar is the ar tuple itself
+            assert all(p is a.ar for p in a.par.values() if p == a.ar), label
+            differ[clock_skew] += sum(p is not a.ar for p in a.par.values())
         pending += sum(e.rval.is_pending() for e in h)
-    assert differ > 1000 and pending > 100
+    assert differ[()] > 1000 and sum(differ.values()) - differ[()] > 500
+    assert pending > 100
+
+
+def test_log_witness_with_the_clock_skew_satisfies_fec_on_async_runs():
+    """Uncommitted weak requests are arbitrated as the replicas sort their
+    tentative logs, by their replica's clock at invoke: FEC(weak) holds on
+    every large async run, the witness built in either mode."""
+    checked = 0
+    for label, h, trace, mode, hz, skew in large_log_runs():
+        if label[1] == "async":
+            a = witness.build_log_witness(h, trace, mode, clock_skew=skew)
+            assert check_composite(a, "FEC", WEAK, F_SEQ, hz).ok, label
+            checked += 1
+    assert checked == 6
 
 
 def window_locals(a, h, trace, e):
@@ -304,7 +326,7 @@ def large_value_runs():
     for seed, events in ((0, 150), (1, 250), (2, 400), (3, 300)):
         _, _, a, hz, mode = random_counter_run(seed, events=events)
         yield ("counter", seed, mode), a, F_NNC, hz
-    for label, h, trace, mode, hz in large_log_runs():
+    for label, h, trace, mode, hz, _ in large_log_runs():
         yield (("log",) + label, witness.build_log_witness(h, trace, mode),
                F_SEQ, hz)
 

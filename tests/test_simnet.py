@@ -599,7 +599,7 @@ def measuring(cls):
 
         def state_digest(self):
             state = self._state_repr()
-            lead = state[0]
+            lead = repr(state[0])
             self.calls.append((len(lead), len(repr(state)) - len(lead) - 1,
                                lead != self._lead))
             self._lead = lead
