@@ -214,7 +214,7 @@ _COUNTER = dict(
     replicas=lambda: [NncReplica(i) for i in range(3)],
     protocol="nnc", probe=op("get"),
     witness=lambda h, world: (
-        "counter", build_nnc_witness(h, world.trace, world.mode)))
+        "counter", build_nnc_witness(h, world.trace)))
 
 _PRIMARY_COMMIT = dict(
     replicas=lambda: [ClassicLogReplica(0), ClassicLogReplica(1),
@@ -234,7 +234,7 @@ _TENTATIVE_LOG = dict(
     replicas=lambda: [MixedLogReplica(0), MixedLogReplica(1)],
     protocol="log", probe=op("read"),
     witness=lambda h, world: (
-        "log", build_log_witness(h, world.trace, world.mode,
+        "log", build_log_witness(h, world.trace,
                                  clock_skew=world.schedule.clock_skew)),
     checks=(("FEC", WEAK), ("Lin", STRONG)))
 

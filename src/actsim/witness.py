@@ -15,6 +15,15 @@ those invoked at or before g's return.  Visibility is built as one
 predecessor mask per event, from snapshot bits, rb predecessor masks and
 running prefix masks along an order, never as a set of pairs.
 
+Both builders read the trace alone, whatever mode the run was simulated
+in.  An event has a total-order number (`tobno`) iff some replica delivered
+its total-order message.  A strong event without one was never sequenced,
+so no replica saw it: it stays in ar, after every sequenced event, but out
+of vis, and no local is anchored on it.  Every other event keeps the place
+its commit position, snapshots and delivered masks give it, pending or
+not: a pending strong event that the replicas of a majority delivered is
+visible to the reads that saw it.
+
 In the tentative log a weak event's perceived order par(e) is the snapshot
 its replica answered from (the committed prefix of ar, then a few tentative
 requests), then the other shared events in ar's order, with the locals
@@ -94,9 +103,11 @@ def _without(preds, drop):
 
 
 def build_nnc_witness(history: History, trace: ProtocolTrace,
-                      mode="stable") -> AbstractExecution:
+                      mode=None) -> AbstractExecution:
     """Counter witness: arbitration follows the total-order delivery numbers,
-    reads slot in after the last subtraction that overlapped or preceded them."""
+    reads slot in after the last delivered subtraction that overlapped or
+    preceded them.  An undelivered subtract, which no replica saw, stays
+    out of vis.  mode is ignored."""
     rb = history.rb
     recs = trace.events
     names = {e.id: e.op.name for e in history}
@@ -107,9 +118,8 @@ def build_nnc_witness(history: History, trace: ProtocolTrace,
     undelivered = sorted((recs[e].req_dot, e) for e in updaters
                          if recs[e].tobno is None)
     base = [e for _, e in delivered] + [e for _, e in undelivered]
-    invoked = {e: history.event(e).invoke_ts for e in updaters
-               if names[e] == "subtract"
-               and (mode != "async" or not recs[e].pending)}
+    invoked = {e: history.event(e).invoke_ts for _, e in delivered
+               if names[e] == "subtract"}
     ar = _insert_after_anchor(base, invoked, _returns(history, gets))
 
     updater_mask = id_mask(updaters)
@@ -138,26 +148,27 @@ def build_nnc_witness(history: History, trace: ProtocolTrace,
                           | rb.pred_mask(e2) & get_mask)
         elif name == "add":
             preds[e2] |= rb.pred_mask(e2)
-    if mode == "async":
-        preds = _without(preds, {e for e in updaters if names[e] == "subtract"
-                                 and recs[e].pending})
+    unseen = {e for _, e in undelivered if names[e] == "subtract"}
+    if unseen:
+        preds = _without(preds, unseen)
     return AbstractExecution(history, Relation.from_pred_masks(preds), ar)
 
 
 def build_log_witness(history: History, trace: ProtocolTrace,
-                      mode="stable", *, clock_skew=()) -> AbstractExecution:
+                      mode=None, *, clock_skew=()) -> AbstractExecution:
     """Tentative-log witness: arbitration is the commit order; weak events
     perceive their own tentative snapshot first.  Uncommitted weak requests
     follow in the order the replicas sort them, by (invoke step plus the
     clock skew of the request's replica, dot); clock_skew is the world's
-    `Schedule.clock_skew`."""
+    `Schedule.clock_skew`.  Uncommitted strong requests, which no replica
+    saw, come last, in id order, and stay out of vis.  mode is ignored."""
     rb = history.rb
     recs = trace.events
     ids = history.ids()
     shared = [e for e in ids if recs[e].req_dot is not None]
     locals_ = [e for e in ids if recs[e].req_dot is None]
     strong = {e for e in shared if history.event(e).lvl == STRONG}
-    pending_strong = {e for e in strong if recs[e].pending}
+    unseen = {e for e in strong if recs[e].tobno is None}
 
     committed = sorted((recs[e].tobno, e) for e in shared
                        if recs[e].tobno is not None)
@@ -167,9 +178,9 @@ def build_log_witness(history: History, trace: ProtocolTrace,
           recs[e].req_dot), e)
         for e in shared if recs[e].tobno is None and e not in strong)
     base = ([e for _, e in committed] + [e for _, e in uncommitted_weak]
-            + sorted(pending_strong - {e for _, e in committed}))
+            + sorted(unseen))
     invoked = {e: history.event(e).invoke_ts for e in shared
-               if not recs[e].pending}
+               if e not in unseen}
     returns = _returns(history, locals_)
     ar = tuple(_insert_after_anchor(base, invoked, returns))
 
@@ -213,8 +224,8 @@ def build_log_witness(history: History, trace: ProtocolTrace,
             earlier |= 1 << e
         else:
             preds[e] |= earlier
-    if mode == "async":
-        preds = _without(preds, pending_strong)
+    if unseen:
+        preds = _without(preds, unseen)
     return AbstractExecution(history, Relation.from_pred_masks(preds), ar,
                              par)
 

@@ -49,7 +49,9 @@ def insert_after_anchor(base, rb, locals_, is_anchor):
     return out
 
 
-def build_nnc_witness(history, trace, mode="stable"):
+def build_nnc_witness(history, trace):
+    """An undelivered subtract, which no replica saw, is neither an anchor
+    nor in vis."""
     rb = history.rb
     recs = trace.events
     names = {e.id: e.op.name for e in history}
@@ -61,13 +63,13 @@ def build_nnc_witness(history, trace, mode="stable"):
                          if recs[e].tobno is None)
     base = [e for _, e in delivered] + [e for _, e in undelivered]
 
+    unseen = {e for e in updaters
+              if names[e] == "subtract" and recs[e].tobno is None}
+
     def is_anchor(e):
-        return (names[e] == "subtract"
-                and (mode != "async" or not recs[e].pending))
+        return names[e] == "subtract" and e not in unseen
 
     ar = insert_after_anchor(base, rb, gets, is_anchor)
-    pending_subs = {e for e in updaters
-                    if names[e] == "subtract" and recs[e].pending}
     edges = set()
     earlier = []
     for _, e2 in delivered:
@@ -91,19 +93,19 @@ def build_nnc_witness(history, trace, mode="stable"):
                          if names[e] == "get")
         elif name == "add":
             edges.update((e, e2) for e in bits(rb.pred_mask(e2)))
-    if mode == "async":
-        edges = {(x, y) for x, y in edges
-                 if x not in pending_subs and y not in pending_subs}
+    edges = {(x, y) for x, y in edges if x not in unseen and y not in unseen}
     return AbstractExecution(history, Relation(edges), ar)
 
 
-def build_log_witness(history, trace, mode="stable", *, clock_skew=()):
+def build_log_witness(history, trace, *, clock_skew=()):
+    """An unsequenced strong event, which no replica saw, is neither an
+    anchor nor in vis."""
     rb = history.rb
     recs = trace.events
     shared = [e for e in history.ids() if recs[e].req_dot is not None]
     locals_ = [e for e in history.ids() if recs[e].req_dot is None]
     strong = {e for e in shared if history.event(e).lvl == STRONG}
-    pending_strong = {e for e in strong if recs[e].pending}
+    unseen = {e for e in strong if recs[e].tobno is None}
     committed = sorted((recs[e].tobno, e) for e in shared
                        if recs[e].tobno is not None)
 
@@ -117,10 +119,10 @@ def build_log_witness(history, trace, mode="stable", *, clock_skew=()):
         ((timestamp(e), recs[e].req_dot), e)
         for e in shared if recs[e].tobno is None and e not in strong)
     base = ([e for _, e in committed] + [e for _, e in uncommitted_weak]
-            + sorted(pending_strong - {e for _, e in committed}))
+            + sorted(unseen))
 
     def is_anchor(e):
-        return not recs[e].pending
+        return e not in unseen
 
     ar = insert_after_anchor(base, rb, locals_, is_anchor)
     snapshot = {e: set(recs[e].trace_snapshot or ()) for e in history.ids()}
@@ -137,9 +139,7 @@ def build_log_witness(history, trace, mode="stable", *, clock_skew=()):
         for s in shared:
             if ar_pos[g] < ar_pos[s]:
                 edges.add((g, s))
-    if mode == "async":
-        edges = {(x, y) for x, y in edges
-                 if x not in pending_strong and y not in pending_strong}
+    edges = {(x, y) for x, y in edges if x not in unseen and y not in unseen}
     par = {}
     shared_set = set(shared)
     shared_in_ar = [e for e in ar if e in shared_set]

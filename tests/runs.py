@@ -1,15 +1,17 @@
 """Seeded random counter and log runs for the property and acceptance
 tests, the tiny counter runs on which the witness builder is compared
-with exhaustive search, seeded random worlds of every replica class, and
-random abstract executions of each data type drawn without a simulator."""
+with exhaustive search, seeded random worlds of every replica class with
+the verdicts the claims sweep reads off them, and random abstract
+executions of each data type drawn without a simulator."""
 
 import random
 from dataclasses import replace
 
-from actsim.harness import history_of, inject_probes
+from actsim.harness import (_primary_commit_witness, converged, history_of,
+                            inject_probes)
 from actsim.model import (PENDING, AbstractExecution, Event, History,
                           OperationLabel as op, Relation, STRONG, WEAK)
-from actsim.predicates import HorizonConfig, check_composite
+from actsim.predicates import HorizonConfig, check_NCC, check_composite
 from actsim.protocols import (ClassicLogReplica, MixedLogReplica,
                               NncReplica, RedBlueReplica)
 from actsim.rdt import F_MVR, F_NNC, F_SEQ, context_of
@@ -19,12 +21,12 @@ from actsim.witness import (brute_force_witness, build_log_witness,
 
 
 def random_counter_run(seed, max_events=8, n_replicas=3, probe_count=3,
-                       probe_replicas=None, allow_async=True, events=None):
+                       probe_replicas=None, events=None):
     """A seeded random counter workload of `events` invokes (drawn up to
-    max_events when None); returns (history, trace, witness, horizon,
-    mode)."""
+    max_events when None), asynchronous in about three runs of ten; returns
+    (history, trace, witness, horizon, mode)."""
     rng = random.Random(seed)
-    mode = "async" if allow_async and rng.random() < 0.3 else "stable"
+    mode = "async" if rng.random() < 0.3 else "stable"
     cutoff = rng.randint(10, 40) if mode == "async" else None
     schedule = Schedule(seed=seed, rb_delay=rng.randint(1, 4),
                         tob_delay=rng.randint(2, 6),
@@ -55,7 +57,7 @@ def random_counter_run(seed, max_events=8, n_replicas=3, probe_count=3,
                          replicas=probe_replicas)
     history = history_of(world.trace)
     hz = HorizonConfig(stab, probe_count)
-    a = build_nnc_witness(history, world.trace, mode)
+    a = build_nnc_witness(history, world.trace)
     return history, world.trace, a, hz, mode
 
 
@@ -96,10 +98,10 @@ def random_log_world(seed, max_events=8, mode="stable", events=None,
 
 def random_log_run(seed, **kwargs):
     """random_log_world's run as (history, trace, witness, horizon), its
-    witness built in the run's mode with the world's clock skew."""
+    witness built with the world's clock skew."""
     world, stab = random_log_world(seed, **kwargs)
     history = history_of(world.trace)
-    a = build_log_witness(history, world.trace, world.mode,
+    a = build_log_witness(history, world.trace,
                           clock_skew=world.schedule.clock_skew)
     return history, world.trace, a, HorizonConfig(stab)
 
@@ -182,12 +184,51 @@ def random_world(seed, max_events=16):
     return world, WORLD_PROBES[protocol]
 
 
+def probed_world(seed, **kwargs):
+    """random_world's world run to quiescence, then probed three times per
+    replica; returns (world, stabilization index)."""
+    world, probe = random_world(seed, **kwargs)
+    world.run_to_quiescence()
+    return world, inject_probes(world, probe, WEAK)
+
+
+def world_verdicts(seed):
+    """probed_world(seed) and what the claims sweep reads off it: a dict of
+    its class ("protocol"), "mode", partition "outcome" ("none", "heals",
+    or "split" when the last partition never heals), whether some delivery
+    is "withheld" and whether the replicas "diverge".  The counter and the
+    tentative log add the failing parts of their weak composite ("weak":
+    BEC and FEC) and of Lin(strong) ("Lin"); the primary-commit log adds
+    whether its causal witness fails NCC(weak) ("NCC")."""
+    world, stab = probed_world(seed)
+    trace, partitions = world.trace, world.schedule.partitions
+    out = {"protocol": trace.protocol, "mode": world.mode,
+           "outcome": ("none" if not partitions
+                       else "heals" if len(partitions[-1][1]) == 1
+                       else "split"),
+           "withheld": bool(world.withheld), "diverge": not converged(world)}
+    history, hz = history_of(trace), HorizonConfig(stab)
+    if trace.protocol == "nnc":
+        a, weak, spec = build_nnc_witness(history, trace), "BEC", F_NNC
+    elif trace.protocol == "log":
+        a, weak, spec = build_log_witness(
+            history, trace, clock_skew=world.schedule.clock_skew), "FEC", F_SEQ
+    else:
+        if trace.protocol == "classic-log":
+            _, a = _primary_commit_witness(history, world)
+            out["NCC"] = not check_NCC(a, WEAK).ok
+        return out
+    out["weak"] = check_composite(a, weak, WEAK, spec, hz).counterexample
+    out["Lin"] = check_composite(a, "Lin", STRONG, spec, hz).counterexample
+    return out
+
+
 def agreement_case(seed):
     """Tiny counter run (at most 4 events including the probe) for comparing
     the witness builder's verdict against exhaustive search."""
     history, trace, a, hz, mode = random_counter_run(
         seed, max_events=3, n_replicas=2, probe_count=1,
-        probe_replicas=(0,), allow_async=True)
+        probe_replicas=(0,))
     built = check_composite(a, "BEC", WEAK, F_NNC, hz)
     brute = brute_force_witness(history, "BEC", WEAK, F_NNC, hz)
     return built.ok, brute.satisfiable, history, a

@@ -4,6 +4,8 @@ Run with `pytest tests/test_acceptance.py -v` to get one pass/fail line per
 criterion.
 """
 
+from collections import Counter
+
 from actsim.harness import run_scenario
 from actsim.predicates import HorizonConfig, check_NCC
 from actsim.rdt import F_SEQ
@@ -11,7 +13,8 @@ from actsim.simnet import check_act_restrictions
 from actsim.witness import brute_force_witness
 
 from mutants import RULES, mutant_runs, verdicts
-from runs import agreement_case, random_counter_run, random_log_run
+from runs import (agreement_case, random_counter_run, random_log_run,
+                  world_verdicts)
 
 
 def report_map(artifact):
@@ -127,3 +130,28 @@ def test_10_every_stable_scenario_converges():
         assert art.extras["converged"], name
     part = run_scenario("annc-partition-convergence")
     assert part.extras["diverged_during_partition"]
+
+
+def test_11_random_worlds_keep_the_claimed_guarantees():
+    """2000 random worlds, 500 per replica class.  Where every partition
+    heals or none occurs, the counter keeps BEC(weak) and the tentative log
+    FEC(weak), in both modes.  Both keep Lin(strong) wherever no delivery
+    is withheld.  A partition that never heals is outside eventual
+    delivery: there a weak composite may fail only through EV, and CPar
+    with it."""
+    worlds, kept = Counter(), Counter()
+    for seed in range(2000):
+        w = world_verdicts(seed)
+        worlds[w["protocol"]] += 1
+        if "weak" not in w:
+            continue    # primary-commit and red-blue: counted, not claimed
+        if w["outcome"] != "split":
+            assert not w["weak"], (seed, w)
+            kept[w["protocol"]] += 1
+        elif w["weak"]:
+            assert "EV" in w["weak"], (seed, w)
+            assert set(w["weak"]) <= {"EV", "CPar"}, (seed, w)
+        if not w["withheld"]:
+            assert not w["Lin"], (seed, w)
+    assert set(worlds.values()) == {500}
+    assert kept == {"nnc": 411, "log": 407}

@@ -21,19 +21,15 @@ from actsim.protocols import NncReplica, Replica
 from actsim.simnet import (Invoke, ProtocolTrace, Schedule, SimWorld,
                            StepBudgetExceeded, TOB, UnknownReplica,
                            check_act_restrictions)
+import mutants
 import reference
 import runs
+from mutants import RULES, mutant_runs, run_world, verdicts
 from runs import random_counter_run
 
 
 def lab(name, *args):
     return OperationLabel(name, args)
-
-
-def run_world(replicas, workload, **schedkw):
-    world = SimWorld(replicas, Schedule(**schedkw), workload, protocol="nnc")
-    world.run_to_quiescence()
-    return world
 
 
 def test_same_seed_gives_identical_traces():
@@ -190,12 +186,10 @@ RANDOM_SEEDS = range(300)
 
 
 def random_run_outputs(seed):
-    """The outputs of `runs.random_world(seed)` run to quiescence and then
-    probed: the trace digest, a hash of the whole trace JSON, the final
-    clock and the number of withheld deliveries."""
-    world, probe = runs.random_world(seed)
-    world.run_to_quiescence()
-    harness.inject_probes(world, probe, WEAK)
+    """The outputs of `runs.probed_world(seed)`: the trace digest, a hash of
+    the whole trace JSON, the final clock and the number of withheld
+    deliveries."""
+    world, _ = runs.probed_world(seed)
     text = json.dumps(world.trace.to_json(), sort_keys=True)
     return {"trace": world.trace.digest(),
             "json": hashlib.sha256(text.encode()).hexdigest()[:16],
@@ -247,12 +241,7 @@ def test_trace_json_round_trip():
     assert t2.events[some] == art.trace.events[some]
 
 
-
 # -- the implementation-rule lints -----------------------------------------
-
-import mutants
-from mutants import RULES, mutant_runs, verdicts
-
 
 def test_stock_protocols_pass_every_rule():
     for name in ("annc-stable", "annc-async", "bayou-classic-tor",
@@ -459,9 +448,7 @@ def test_state_digests_equal_a_full_rehash_at_every_step(monkeypatch):
     for module in (runs, mutants):
         _wrap_replicas(monkeypatch, module, rehashing)
     for seed in range(80):
-        world, probe = runs.random_world(seed, max_events=30)
-        world.run_to_quiescence()
-        harness.inject_probes(world, probe, WEAK)
+        world, _ = runs.probed_world(seed, max_events=30)
         check(world, seed)
     for rule, world in mutants.mutant_runs():
         check(world, rule)
@@ -536,11 +523,7 @@ def test_every_request_names_the_event_that_minted_its_dot():
     classes."""
     worlds = [harness.run_scenario(name, mode=mode).world
               for name in harness.SCENARIOS for mode in ("stable", "async")]
-    for seed in range(120):
-        world, probe = runs.random_world(seed)
-        world.run_to_quiescence()
-        harness.inject_probes(world, probe, WEAK)
-        worlds.append(world)
+    worlds += [runs.probed_world(seed)[0] for seed in range(120)]
     classes, checked = set(), {}
     for world in filter(None, worlds):     # the fixture scenario runs none
         minted = {rec.req_dot: eid for eid, rec in world.trace.events.items()
